@@ -9,21 +9,26 @@ per-batch path:
 
 - the **active weight values** (the ``v`` with ``±v`` present in ``B``),
   found in one bucketization pass instead of ``2·whi`` boolean scans;
-- the **mask matrix** ``H`` with ``H[k·V + i, n] = sign(B[k, n])`` when
-  ``|B[k, n]|`` equals the i-th active value (the (K, V)-interleaved
+- an exact **integer factorization** of the LUT over those values
+  (:func:`lut_factors`): ``g̃(x, v) = Σ_j G[x, j]·C[v, j]`` with ``r``
+  basis columns ``G`` taken from the LUT itself and small-integer
+  coefficients ``C``. Truncated multipliers are additive over weight bits,
+  ``g̃(x, v) = Σ_j bit_j(v)·g̃(x, 2^j)``, so their plans gather 3
+  bit-plane columns instead of 7 value columns; a full-rank LUT
+  (EvoApprox) keeps ``r = V`` value columns with one-hot ``C``;
+- the **coefficient matrix** ``H`` with
+  ``H[k·r + j, n] = sign(B[k, n])·C[|B[k, n]|, j]`` (the (K, r)-interleaved
   layout lets the per-batch gather be a single ``np.take``);
-- the **dtype/precision decision** (float32 BLAS while every partial sum
-  stays below 2^23, float64 otherwise) and the operand-magnitude check
-  on ``B``;
-- a packed ``(2·xhi+1, V)`` LUT slice so the activation gather reads
-  ``V`` contiguous products per activation code.
+- the **dtype/precision decision** (float32 BLAS while the
+  factorization's worst-case partial sum stays below 2^23, float64
+  otherwise) and the operand-magnitude check on ``B``.
 
-``plan.execute(a)`` then gathers LUT products for a batch directly into a
-pooled workspace buffer (no list-append / ``np.concatenate``) and runs
-one BLAS call. Every product and partial sum is an exactly-represented
-integer, so the result is **bitwise identical** to the uncached
-:func:`repro.approx.gemm.approx_matmul` path — reordering exact integer
-sums cannot change them.
+``plan.execute(a)`` then gathers ``r`` basis products per activation code
+directly into a pooled workspace buffer (no list-append /
+``np.concatenate``) and runs one BLAS call. Every product and partial sum
+is an exactly-represented integer, so the result is **bitwise identical**
+to the uncached :func:`repro.approx.gemm.approx_matmul` path — reordering
+exact integer sums cannot change them.
 
 :class:`PlanCache` is the per-layer memo keyed by a weight-version
 counter (see :class:`repro.nn.parameter.Parameter`); a training step
@@ -238,6 +243,117 @@ class LayerKernelState:
         return self
 
 
+class LutFactors:
+    """Exact integer factorization of a multiplier's signed LUT.
+
+    ``g`` (shape ``(2·xhi+1, r)``) holds the signed LUT columns of the
+    ``basis`` magnitudes and ``coeffs`` (shape ``(whi+1, r)``) small
+    integers such that ``g @ coeffs[v] == signed_lut[:, whi + v]`` for
+    every magnitude ``v`` with ``has_row[v]`` — the active magnitudes the
+    factorization was built for, plus any other magnitude that happens to
+    be an integer combination of the basis (so plan repair can absorb it).
+    ``has_row[0]`` is always set: magnitude 0 is the zero row.
+
+    ``bound`` is the worst-case magnitude of one weight's contribution,
+    ``max_x max_v Σ_j |g[x, j]|·|coeffs[v, j]|`` over the covered rows: a
+    GEMM with reduce dim K never holds a partial sum above ``K·bound``.
+    Instances are shared, read-only, by every plan with the same
+    (multiplier, active-magnitude set); see :func:`lut_factors`.
+    """
+
+    __slots__ = ("basis", "g", "coeffs", "has_row", "bound")
+
+    def __init__(
+        self,
+        basis: np.ndarray,
+        g: np.ndarray,
+        coeffs: np.ndarray,
+        has_row: np.ndarray,
+        bound: float,
+    ):
+        self.basis = basis
+        self.g = g
+        self.coeffs = coeffs
+        self.has_row = has_row
+        self.bound = bound
+
+    @property
+    def rank(self) -> int:
+        """Number of basis columns a plan gathers per activation code."""
+        return len(self.basis)
+
+
+def _factorize(multiplier: Multiplier, values: tuple[int, ...]) -> LutFactors:
+    whi = 2 ** (multiplier.w_bits - 1) - 1
+    cols = multiplier.signed_lut()[:, whi:].astype(np.int64)  # cols[:, v] = g̃(x, v)
+    basis: list[int] = []
+    coeffs = np.zeros((whi + 1, len(values)), dtype=np.int64)
+    has_row = np.zeros(whi + 1, dtype=bool)
+    has_row[0] = True
+
+    def combination(v: int) -> np.ndarray | None:
+        """Integer coefficients expressing column ``v`` in the basis."""
+        if not basis:
+            return None if cols[:, v].any() else np.zeros(0, dtype=np.int64)
+        g = cols[:, basis]
+        c = np.linalg.lstsq(g.astype(np.float64), cols[:, v].astype(np.float64), rcond=None)
+        c = np.rint(c[0]).astype(np.int64)
+        return c if np.array_equal(g @ c, cols[:, v]) else None
+
+    # Ascending order visits 1, 2, 4 before the sums of them, so an
+    # additive (truncated) LUT settles on its bit-planes.
+    for v in values:
+        c = combination(v)
+        if c is None:
+            basis.append(v)
+            coeffs[v, len(basis) - 1] = 1
+        else:
+            coeffs[v, : len(c)] = c
+        has_row[v] = True
+    for v in range(1, whi + 1):
+        if not has_row[v]:
+            c = combination(v)
+            if c is not None:
+                coeffs[v, : len(c)] = c
+                has_row[v] = True
+
+    r = len(basis)
+    coeffs = coeffs[:, :r]
+    g = cols[:, basis]
+    rows = np.flatnonzero(has_row)
+    if not np.array_equal(g @ coeffs[rows].T, cols[:, rows]):
+        raise MultiplierError(f"{multiplier.name}: inexact LUT factorization")
+    bound = float((np.abs(g) @ np.abs(coeffs[rows]).T).max()) if r else 0.0
+    return LutFactors(np.asarray(basis, dtype=np.int64), g, coeffs, has_row, bound)
+
+
+def lut_factors(multiplier: Multiplier, values) -> LutFactors:
+    """The exact integer factorization of ``multiplier``'s LUT over the
+    active weight magnitudes ``values`` (memoized on the multiplier).
+
+    Basis columns are chosen greedily from the LUT's own columns in
+    ascending magnitude order: a magnitude whose column is an integer
+    combination of the basis so far gets those coefficients, any other
+    joins the basis. Exactness is checked on every covered row.
+    """
+    key = tuple(sorted(int(v) for v in values if v > 0))
+    memo = getattr(multiplier, "_lut_factors", None)
+    if memo is None:
+        memo = multiplier._lut_factors = {}
+    factors = memo.get(key)
+    if factors is None:
+        # Racing builders compute equal factors; setdefault keeps one.
+        factors = memo.setdefault(key, _factorize(multiplier, key))
+    return factors
+
+
+def plan_rank(multiplier: Multiplier) -> int:
+    """Columns a plan gathers for ``multiplier`` when all weight
+    magnitudes are active (3 for truncated-t, 7 for EvoApprox)."""
+    whi = 2 ** (multiplier.w_bits - 1) - 1
+    return lut_factors(multiplier, range(1, whi + 1)).rank
+
+
 class GemmPlan:
     """Precomputed weight-stationary state for one ``A @ B`` operand ``B``.
 
@@ -249,8 +365,8 @@ class GemmPlan:
     """
 
     __slots__ = (
-        "multiplier_name", "k", "n", "values", "lut_rows", "big_h",
-        "dtype", "use_f32", "xhi", "whi", "nbytes",
+        "multiplier_name", "k", "n", "values", "factors", "lut_rows", "big_h",
+        "dtype", "use_f32", "xhi", "nbytes",
     )
 
     def __init__(
@@ -259,28 +375,33 @@ class GemmPlan:
         k: int,
         n: int,
         values: np.ndarray,
-        lut_rows: np.ndarray,
+        factors: LutFactors,
         big_h: np.ndarray,
         dtype: np.dtype,
         use_f32: bool,
         xhi: int,
-        whi: int,
     ):
         self.multiplier_name = multiplier_name
         self.k = k
         self.n = n
         self.values = values
-        self.lut_rows = lut_rows
+        self.factors = factors
+        self.lut_rows = np.ascontiguousarray(factors.g, dtype=dtype)
         self.big_h = big_h
         self.dtype = dtype
         self.use_f32 = use_f32
         self.xhi = xhi
-        self.whi = whi
-        self.nbytes = int(big_h.nbytes + lut_rows.nbytes + values.nbytes)
+        self.nbytes = int(big_h.nbytes + self.lut_rows.nbytes + values.nbytes)
 
     @property
     def num_values(self) -> int:
+        """Active weight magnitudes at build time."""
         return len(self.values)
+
+    @property
+    def rank(self) -> int:
+        """LUT columns gathered per activation code."""
+        return self.factors.rank
 
     def execute(self, a: np.ndarray) -> np.ndarray:
         """The approximate GEMM ``a @ B`` for one (row block of) ``a``.
@@ -293,26 +414,31 @@ class GemmPlan:
             raise ShapeError(
                 f"plan for reduce dim {self.k} applied to operand with {k} columns"
             )
-        v = self.num_values
-        if v == 0:
+        r = self.rank
+        if r == 0:
             return np.zeros((m, self.n), dtype=np.int64)
         itemsize = self.dtype.itemsize
-        buf = _workspace.take(m * k * v, self.dtype)
+        buf = _workspace.take(m * k * r, self.dtype)
         idx_buf = _workspace.take(m * k, np.dtype(np.int32))
         try:
-            gathered = buf[: m * k * v].reshape(m * k, v)
+            gathered = buf[: m * k * r].reshape(m * k, r)
             with prof.timer("approx.lut_gather", nbytes=a.nbytes):
                 # Shift codes into LUT row indices in a pooled int32 buffer:
                 # xhi < 2^15, so the shifted index always fits, and skipping
                 # the intp conversion avoids a fresh m*k allocation per batch.
                 idx = idx_buf[: m * k].reshape(m, k)
                 np.add(a, self.xhi, out=idx, casting="unsafe")
-                np.take(self.lut_rows, idx.reshape(-1), axis=0, out=gathered)
-            prof.count("approx.lut_gathered_values", n=v, nbytes=m * k * v * itemsize)
+                # The caller has range-checked the codes, so every index is
+                # valid; mode="clip" spares the bounds-checked path, which
+                # gathers into a temporary and copies it into ``out``.
+                np.take(
+                    self.lut_rows, idx.reshape(-1), axis=0, out=gathered, mode="clip"
+                )
+            prof.count("approx.lut_gathered_values", n=r, nbytes=m * k * r * itemsize)
             with prof.timer(
-                "approx.matmul_blas", nbytes=(m * k * v + k * v * self.n) * itemsize
+                "approx.matmul_blas", nbytes=(m * k * r + k * r * self.n) * itemsize
             ):
-                y = gathered.reshape(m, k * v) @ self.big_h
+                y = gathered.reshape(m, k * r) @ self.big_h
         finally:
             _workspace.give(buf)
             _workspace.give(idx_buf)
@@ -322,9 +448,10 @@ class GemmPlan:
 def build_plan(b: np.ndarray, multiplier: Multiplier) -> GemmPlan:
     """Build the weight-stationary plan for operand ``b`` of ``a @ b``.
 
-    One bucketization pass over ``b`` finds the active weight values and
-    scatters the ±1 mask matrix, replacing the ``2·whi`` boolean scans of
-    the uncached path.
+    One bucketization pass over ``b`` finds the active weight values, and
+    one scatter writes each nonzero weight's signed coefficient row
+    ``sign(b)·C[|b|]`` into ``H``, replacing the ``2·whi`` boolean scans
+    of the uncached path.
     """
     b = np.asarray(b)
     if b.ndim != 2:
@@ -336,28 +463,23 @@ def build_plan(b: np.ndarray, multiplier: Multiplier) -> GemmPlan:
     check_magnitude(b, whi, multiplier.name, "b")
 
     k, n = b.shape
-    max_product = float(np.abs(multiplier.lut).max())
-    use_f32 = max_product * k < _EXACT_FLOAT32_BOUND
-    lut = multiplier.signed_lut_f32() if use_f32 else multiplier.signed_lut_f64()
-    dtype = np.dtype(np.float32) if use_f32 else np.dtype(np.float64)
-
     with prof.timer("approx.plan_build", nbytes=b.nbytes):
         mag = np.abs(b)
         values = np.unique(mag)
         values = values[values > 0]
-        v = len(values)
-        big_h = np.zeros((k * v, n), dtype=dtype)
-        if v:
+        factors = lut_factors(multiplier, values)
+        use_f32 = factors.bound * k < _EXACT_FLOAT32_BOUND
+        dtype = np.dtype(np.float32) if use_f32 else np.dtype(np.float64)
+        r = factors.rank
+        big_h = np.zeros((k * r, n), dtype=dtype)
+        if r:
             # v = 0 contributes g̃(a, 0) = 0 under sign-magnitude evaluation.
-            slot = np.full(whi + 1, -1, dtype=np.intp)
-            slot[values] = np.arange(v)
             kk, nn = np.nonzero(mag)
-            big_h[kk * v + slot[mag[kk, nn]], nn] = np.sign(b[kk, nn])
-            lut_rows = np.ascontiguousarray(lut[:, whi + values])
-        else:
-            lut_rows = np.zeros((lut.shape[0], 0), dtype=dtype)
+            big_h.reshape(k, r, n)[kk, :, nn] = (
+                np.sign(b[kk, nn])[:, None] * factors.coeffs[mag[kk, nn]]
+            )
     plan = GemmPlan(
-        multiplier.name, k, n, values, lut_rows, big_h, dtype, use_f32, xhi, whi
+        multiplier.name, k, n, values, factors, big_h, dtype, use_f32, xhi
     )
     prof.count("approx.plan_built", n=1, nbytes=plan.nbytes)
     return plan
@@ -374,19 +496,21 @@ def repair_plan(
     An optimizer step typically flips a handful of 4-bit codes out of
     hundreds of thousands; rebuilding the whole plan for that is the
     training-loop regression this module fixes. Each flipped position
-    ``(k, n)`` moves at most one ±1 entry of ``big_h`` between value
-    rows — an O(changed) scatter — provided every new magnitude already
-    has a value slot. Returns False (plan untouched at the affected
-    positions' final state is then irrelevant — caller rebuilds) when a
-    magnitude appears that the plan has no slot for.
+    ``(k, n)`` rewrites its ``r`` entries of ``big_h`` from the
+    factorization's coefficient table — an O(changed·r) scatter —
+    provided the table has a row for every new magnitude. That holds for
+    any magnitude the plan was built on and, for a bit-plane plan, for
+    every magnitude whose bits are among its planes. Returns False (the
+    caller rebuilds) when a new magnitude has no row.
 
-    After a successful repair ``big_h`` is exactly the matrix
-    :func:`build_plan` would scatter for ``new_b``, except that value
-    slots no longer used anywhere keep their (now all-zero) rows —
-    zero-mask rows contribute exactly 0.0 to every partial sum, so
-    :meth:`GemmPlan.execute` stays bitwise identical to a fresh build.
-    This is the single sanctioned mutation of a plan; callers must not
-    run it concurrently with :meth:`GemmPlan.execute` on other threads.
+    After a successful repair ``big_h`` holds exactly the coefficients
+    of ``new_b`` in the plan's basis. A fresh build may pick another
+    basis, but both compute the same exact integer sums, so
+    :meth:`GemmPlan.execute` stays bitwise identical to it; the precision
+    gate covers every row of the table, so no repair can leave the plan's
+    float tier. This is the single sanctioned mutation of a plan; callers
+    must not run it concurrently with :meth:`GemmPlan.execute` on other
+    threads.
 
     ``changed`` optionally passes the differing positions ``(kk, nn)``
     in ``b`` coordinates when the caller already diffed the operands,
@@ -397,27 +521,17 @@ def repair_plan(
     kk, nn = np.nonzero(old_b != new_b) if changed is None else changed
     if kk.size == 0:
         return True
-    v = plan.num_values
-    if v == 0:
-        return False  # plan built on all-zero weights has no slots at all
+    r = plan.rank
+    if r == 0:
+        return False  # plan built on all-zero weights has no basis at all
     with prof.timer("approx.plan_repair", nbytes=int(kk.size)):
-        slot = np.full(plan.whi + 1, -1, dtype=np.intp)
-        slot[plan.values] = np.arange(v)
         new_vals = np.asarray(new_b[kk, nn])
         new_mag = np.abs(new_vals)
-        live = new_mag > 0
-        if live.any() and (slot[new_mag[live]] < 0).any():
+        if not plan.factors.has_row[new_mag].all():
             return False
-        old_vals = np.asarray(old_b[kk, nn])
-        old_mag = np.abs(old_vals)
-        olive = old_mag > 0
-        # Clear the old ±1 entries first, then scatter the new ones — a
-        # sign flip at an unchanged magnitude lands on the same slot and
-        # must end at the new sign.
-        plan.big_h[kk[olive] * v + slot[old_mag[olive]], nn[olive]] = 0
-        plan.big_h[kk[live] * v + slot[new_mag[live]], nn[live]] = np.sign(
-            new_vals[live]
-        ).astype(plan.dtype)
+        plan.big_h.reshape(plan.k, r, plan.n)[kk, :, nn] = (
+            np.sign(new_vals)[:, None] * plan.factors.coeffs[new_mag]
+        )
     prof.count("approx.plan_repaired", n=1, nbytes=int(kk.size))
     met.inc("plan_cache.repair")
     return True

@@ -459,13 +459,13 @@ def cmd_zoo(args, console: obs_console.Console, log: obs_events.EventLog) -> int
         entries = entries[: args.top]
     console.result(
         f"{'rank':>4s} {'name':16s} {'score':>8s} {'E[eps]':>9s} {'std[eps]':>9s} "
-        f"{'k':>8s} {'model':>8s} {'savings[%]':>10s}"
+        f"{'k':>8s} {'model':>8s} {'savings[%]':>10s} {'plan_rank':>9s}"
     )
     for e in entries:
         console.result(
             f"{e.rank:4d} {e.name:16s} {e.score:8.4f} {e.eps_mean:9.1f} "
             f"{e.eps_std:9.1f} {e.k:+8.4f} {'STE' if e.is_constant else 'GE':>8s} "
-            f"{100 * e.energy_savings:10.0f}"
+            f"{100 * e.energy_savings:10.0f} {e.plan_rank:9d}"
         )
     console.info(f"ranked {len(entries)} multiplier(s) analytically in {elapsed_ms:.1f}ms")
     log.emit("zoo", count=len(entries), elapsed_ms=elapsed_ms)

@@ -13,12 +13,18 @@ The score is :meth:`AnalyticErrorStats.normalized_error` —
 ``sqrt(E[ε]² + Var[ε]) / std(y)``, the RMS per-output error in units of
 the output spread — so 0 is exact and candidates of very different
 absolute error magnitudes compare on one axis. Lower is better.
+
+Each entry also carries ``plan_rank``, the number of LUT columns the
+design's GEMM plans gather per activation code
+(:func:`repro.approx.plan.plan_rank`): 3 for the bit-plane truncated
+designs, 7 for a full-rank EvoApprox LUT.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 
+from repro.approx.plan import plan_rank
 from repro.approx.registry import available_multipliers, get_multiplier
 from repro.errors import MultiplierError
 from repro.ge.analytic import analytic_error_model, analytic_error_stats
@@ -41,6 +47,7 @@ class ZooEntry:
     upper: float
     is_constant: bool  # constant f(y): GE degenerates to the plain STE
     energy_savings: float
+    plan_rank: int  # LUT columns a GEMM plan gathers per activation code
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -89,6 +96,7 @@ def rank_multipliers(
                     upper=model.upper,
                     is_constant=model.is_constant,
                     energy_savings=multiplier.energy_savings,
+                    plan_rank=plan_rank(multiplier),
                 )
             )
     entries.sort(key=lambda e: (e.score, e.name))

@@ -15,29 +15,41 @@ Two load models are supported (``mode=``):
   its next request as soon as the previous one returns. Throughput is
   self-limiting: a slow server slows the clients down.
 - ``"open"`` — requests arrive on a Poisson process at ``offered_rps``,
-  independent of how fast the server answers (each arrival gets its own
-  thread). This is how real traffic behaves: latency under an offered
-  rate the server can't absorb shows up as queueing, not as a politely
-  throttled client. The report carries ``offered_rps`` and the
-  ``achieved_rps`` the dispatcher actually sustained.
+  independent of how fast the server answers. This is how real traffic
+  behaves: latency under an offered rate the server can't absorb shows
+  up as queueing, not as a politely throttled client. One dispatcher
+  thread sleeps until each request is due and submits it without
+  blocking; completions are timestamped by future callbacks. No thread
+  is started per arrival, so the generator stays cheap under the
+  interpreter lock. The report carries ``offered_rps``, the
+  ``achieved_rps`` the dispatcher actually sustained, every request's
+  dispatch lag and whether the run was ``generator_bound``.
 """
 
 from __future__ import annotations
 
+import heapq
 import threading
 import time
 from dataclasses import asdict, dataclass, field
+from functools import partial
 
 import numpy as np
 
 from repro.autograd.grad_mode import no_grad
 from repro.autograd.tensor import Tensor
 from repro.data.protocol import DatasetProtocol
-from repro.errors import ServeError
+from repro.errors import BackpressureError, ServeError
 from repro.nn.module import Module
 from repro.serve.client import Client
 from repro.serve.server import Prediction, Server
 from repro.utils.rng import new_rng
+
+# An open-loop dispatcher whose p99 lag exceeds this measures itself, not
+# the server: such a run is flagged ``generator_bound``.
+LAG_BOUND_MS = 20.0
+# Backpressure rejections one request absorbs before it counts as failed.
+_RETRIES = 64
 
 
 @dataclass
@@ -61,6 +73,10 @@ class LoadReport:
     mode: str = "closed"
     offered_rps: float | None = None
     achieved_rps: float | None = None
+    # Open loop only: send time minus due time per request, schedule order.
+    dispatch_lag_ms: list[float] | None = None
+    lag_p99_ms: float | None = None
+    generator_bound: bool | None = None
     server_stats: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
@@ -99,13 +115,17 @@ def run_load(
     ``requests`` total requests, each starting its next as the previous
     returns. With ``mode="open"``, requests instead arrive on a Poisson
     process at ``offered_rps`` requests/second regardless of server
-    speed (``concurrency`` is ignored; every arrival is dispatched on
-    its own thread at its scheduled time). Each request is a batch of
-    ``batch_size`` samples with probability ``batch_fraction``, else a
-    single sample. Samples come from the dataset's held-out split via
-    the protocol. Latency is measured client-side around the blocking
-    call, so it includes queueing, batching wait and backpressure
-    retries — what a caller experiences.
+    speed (``concurrency`` is ignored; one dispatcher submits every
+    arrival at its scheduled time without waiting for replies). Each
+    request is a batch of ``batch_size`` samples with probability
+    ``batch_fraction``, else a single sample. Samples come from the
+    dataset's held-out split via the protocol. Latency is measured
+    client-side — around the blocking call in the closed loop, from the
+    scheduled arrival in the open loop — so it includes queueing,
+    batching wait and backpressure retries, what a caller experiences.
+    An open-loop run whose dispatch-lag p99 exceeds :data:`LAG_BOUND_MS`
+    is reported ``generator_bound``: its latencies describe the
+    generator, not the server.
 
     ``reference_models`` maps weight version → a model holding exactly
     those weights; every successful response is then re-evaluated alone
@@ -130,7 +150,7 @@ def run_load(
         else:
             plan.append(pool[int(rng.integers(0, pool.shape[0]))])
 
-    client = Client(server, retries=64, timeout_s=timeout_s)
+    client = Client(server, retries=_RETRIES, timeout_s=timeout_s)
     lock = threading.Lock()
     latencies: list[float] = []
     outcomes: list[tuple[np.ndarray, Prediction] | None] = [None] * requests
@@ -164,24 +184,18 @@ def run_load(
                 cursor[0] += 1
             issue(index)
 
-    achieved_rps: float | None = None
+    achieved_rps = lag_ms = None
     if mode == "open":
         # Poisson arrivals: i.i.d. exponential inter-arrival gaps at the
         # offered rate, dispatched at their absolute schedule times so a
         # slow server never throttles the arrival process.
         arrivals = np.cumsum(rng.exponential(1.0 / offered_rps, size=requests))
-        threads = [
-            threading.Thread(target=issue, args=(i,), name=f"repro-loadgen-{i}", daemon=True)
-            for i in range(requests)
-        ]
         wall_start = time.perf_counter()
-        for index, thread in enumerate(threads):
-            delay = wall_start + arrivals[index] - time.perf_counter()
-            if delay > 0:
-                time.sleep(delay)
-            thread.start()
-        dispatch_elapsed = time.perf_counter() - wall_start
-        achieved_rps = requests / dispatch_elapsed if dispatch_elapsed > 0 else 0.0
+        lag_ms = _dispatch_open(
+            server, plan, pool.ndim, wall_start + arrivals, timeout_s,
+            lock, latencies, outcomes, failures,
+        )
+        achieved_rps = requests / (arrivals[-1] + lag_ms[-1] / 1e3)
     else:
         threads = [
             threading.Thread(target=worker, name=f"repro-loadgen-{i}", daemon=True)
@@ -190,8 +204,8 @@ def run_load(
         wall_start = time.perf_counter()
         for thread in threads:
             thread.start()
-    for thread in threads:
-        thread.join()
+        for thread in threads:
+            thread.join()
     duration = time.perf_counter() - wall_start
 
     checked = mismatches = 0
@@ -219,6 +233,7 @@ def run_load(
     )
     lat_ms = np.asarray(sorted(latencies)) * 1e3 if latencies else np.array([0.0])
     p50, p95, p99 = (float(np.percentile(lat_ms, q)) for q in (50, 95, 99))
+    lag_p99 = None if lag_ms is None else float(np.percentile(lag_ms, 99))
     stats = server.stats()
     return LoadReport(
         requests=len(done),
@@ -238,5 +253,84 @@ def run_load(
         mode=mode,
         offered_rps=offered_rps,
         achieved_rps=achieved_rps,
+        dispatch_lag_ms=None if lag_ms is None else lag_ms.tolist(),
+        lag_p99_ms=lag_p99,
+        generator_bound=None if lag_p99 is None else lag_p99 > LAG_BOUND_MS,
         server_stats=stats,
     )
+
+
+def _dispatch_open(
+    server: Server,
+    plan: list[np.ndarray],
+    batch_ndim: int,
+    due: np.ndarray,
+    timeout_s: float,
+    lock: threading.Lock,
+    latencies: list[float],
+    outcomes: list,
+    failures: list[int],
+) -> np.ndarray:
+    """Submit ``plan[i]`` at ``perf_counter`` time ``due[i]`` from this
+    thread, then wait for every reply; returns each request's dispatch
+    lag in ms.
+
+    A request turned away by backpressure is re-queued after the server's
+    ``retry_after_s`` hint rather than blocking the dispatcher. Replies
+    still missing after ``timeout_s`` count as failed.
+    """
+    n = len(plan)
+    lag_ms = np.zeros(n)
+    pending = [n]
+    all_done = threading.Event()
+
+    def settle(index: int, prediction: Prediction | None, finished: float) -> None:
+        with lock:
+            if pending[0] <= 0:  # abandoned after the timeout
+                return
+            if prediction is None:
+                failures[0] += 1
+            else:
+                latencies.append(finished - due[index])
+                outcomes[index] = (plan[index], prediction)
+            pending[0] -= 1
+            if pending[0] == 0:
+                all_done.set()
+
+    def on_done(index: int, future) -> None:
+        finished = time.perf_counter()
+        try:
+            prediction = future.result()
+        except Exception:
+            prediction = None
+        settle(index, prediction, finished)
+
+    # (due time, request, rejections so far): arrivals are already sorted,
+    # so the list is a valid heap; retries are pushed in at their due time.
+    queue = [(float(t), i, 0) for i, t in enumerate(due)]
+    while queue:
+        when, index, rejections = heapq.heappop(queue)
+        wait = when - time.perf_counter()
+        if wait > 0:
+            time.sleep(wait)
+        if rejections == 0:
+            lag_ms[index] = (time.perf_counter() - when) * 1e3
+        x = plan[index]
+        try:
+            future = (server.submit_batch if x.ndim == batch_ndim else server.submit)(x)
+        except BackpressureError as exc:
+            if rejections < _RETRIES:
+                retry_at = time.perf_counter() + exc.retry_after_s
+                heapq.heappush(queue, (retry_at, index, rejections + 1))
+            else:
+                settle(index, None, 0.0)
+            continue
+        except Exception:
+            settle(index, None, 0.0)
+            continue
+        future.add_done_callback(partial(on_done, index))
+    if not all_done.wait(timeout_s):
+        with lock:
+            failures[0] += pending[0]
+            pending[0] = 0
+    return lag_ms

@@ -10,8 +10,10 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.approx import get_multiplier
+from repro.approx import available_multipliers, get_multiplier
 from repro.approx.gemm import ROW_BLOCK, approx_matmul
 from repro.approx.plan import (
     GemmPlan,
@@ -19,8 +21,10 @@ from repro.approx.plan import (
     WorkspacePool,
     build_plan,
     cache_stats,
+    lut_factors,
     plan_cache_disabled,
     plan_caching_enabled,
+    plan_rank,
     repair_plan,
     workspace_pool,
 )
@@ -50,10 +54,10 @@ class TestPlanBitwiseEquivalence:
         )
 
     def test_float64_regime_matches(self):
-        # K large enough that max|product|*K crosses 2^23, forcing the
-        # float64 BLAS tier in both paths.
+        # K large enough that max|product|*K crosses 2^23 over the
+        # symmetric code range, forcing the float64 BLAS tier in both paths.
         mult = get_multiplier("truncated1")
-        k = int(2.0**23 / float(np.abs(mult.lut).max())) + 10
+        k = int(2.0**23 / float(np.abs(mult.signed_lut()).max())) + 10
         rng = np.random.default_rng(1)
         a, b = _random_operands(rng, mult, m=3, k=k, n=2)
         plan = build_plan(b, mult)
@@ -64,13 +68,16 @@ class TestPlanBitwiseEquivalence:
         )
 
     def test_sparse_weights_skip_inactive_values(self):
-        # Only two active magnitudes -> the plan gathers 2 LUT columns.
-        mult = get_multiplier("truncated4")
+        # Full-rank LUT, two active magnitudes -> the plan gathers 2 value
+        # columns.
+        mult = get_multiplier("evoapprox228")
         rng = np.random.default_rng(2)
         b = rng.choice(np.array([-5, 0, 0, 3], dtype=np.int32), size=(20, 6))
         a = rng.integers(-127, 128, size=(9, 20), dtype=np.int32)
         plan = build_plan(b, mult)
         assert plan.num_values == 2
+        assert plan.rank == 2
+        np.testing.assert_array_equal(plan.factors.basis, [3, 5])
         np.testing.assert_array_equal(
             approx_matmul(a, b, mult, plan=plan), approx_matmul(a, b, mult)
         )
@@ -110,9 +117,11 @@ class TestPlanBitwiseEquivalence:
         assert report.timer("approx.lut_gather").calls == 1
         assert report.timer("approx.matmul_blas").calls == 1
         gathered = report.counter("approx.lut_gathered_values")
-        assert gathered.calls == plan.num_values
+        # truncated4 gathers 3 bit-plane columns for its 7 active values
+        assert (plan.num_values, plan.rank) == (7, 3)
+        assert gathered.calls == plan.rank
         # bytes reflect the plan dtype, not a hardcoded 8 bytes/element
-        assert gathered.bytes == 8 * 12 * plan.num_values * plan.dtype.itemsize
+        assert gathered.bytes == 8 * 12 * plan.rank * plan.dtype.itemsize
 
 
 class TestPlanValidation:
@@ -313,12 +322,32 @@ class TestRepairPlan:
         np.testing.assert_array_equal(plan.big_h, h_before)
 
     def test_new_magnitude_declines(self):
-        mult = get_multiplier("truncated4")
+        # Value-column plan (full-rank LUT): magnitude 7 has no row.
+        mult = get_multiplier("evoapprox228")
         b = np.array([[1, 2], [2, 1]], dtype=np.int32)
         plan = build_plan(b, mult)
         new_b = b.copy()
-        new_b[0, 0] = 7  # magnitude 7 has no slot in this plan
+        new_b[0, 0] = 7
         assert not repair_plan(plan, b, new_b)
+
+    def test_magnitude_outside_bit_planes_declines(self):
+        # Bit-planes {1, 2} cover 3 but not 4, 5, 6 or 7.
+        mult = get_multiplier("truncated4")
+        b = np.array([[1, 2], [2, 1]], dtype=np.int32)
+        plan = build_plan(b, mult)
+        assert not repair_plan(plan, b, np.array([[1, 2], [2, 4]], dtype=np.int32))
+
+    @pytest.mark.parametrize("new_mag", [3, 5, 6, 7])
+    def test_bit_plane_repair_to_absent_magnitude_equals_fresh_build(self, rng, new_mag):
+        # Built on the planes alone; every magnitude is a sum of them, so
+        # repair absorbs magnitudes that were absent at build.
+        mult = get_multiplier("truncated5")
+        b = rng.choice(np.array([-4, -2, -1, 0, 1, 2, 4], dtype=np.int32), size=(12, 5))
+        plan = build_plan(b, mult)
+        assert plan.rank == 3
+        new_b = b.copy()
+        new_b[0, 0], new_b[3, 2], new_b[7, 4] = new_mag, -new_mag, 0
+        self._check_repaired(rng, mult, plan, b, new_b)
 
     def test_shape_mismatch_declines(self, rng):
         mult = get_multiplier("truncated3")
@@ -348,3 +377,100 @@ class TestRepairPlan:
         assert repair_plan(plan_full, b, new_b)
         assert repair_plan(plan_pre, b, new_b, changed=np.nonzero(b != new_b))
         np.testing.assert_array_equal(plan_full.big_h, plan_pre.big_h)
+
+
+# Exact rank of each design's LUT over weight magnitudes 1..7, which is
+# also the number of columns its plans gather.
+EXPECTED_RANKS = {
+    "exact": 1,
+    "truncated1": 2,
+    **{f"truncated{t}": 3 for t in range(2, 6)},
+    "truncated1bc": 2,
+    **{f"truncated{t}bc": 4 for t in range(2, 6)},
+    "mitchell": 4,
+    **{f"drum{k}": 1 for k in range(2, 7)},
+    **{name: 7 for name in available_multipliers() if name.startswith("evoapprox")},
+}
+
+
+class TestLutFactorization:
+    def test_table_covers_the_registry(self):
+        assert set(available_multipliers()) <= set(EXPECTED_RANKS)
+
+    @pytest.mark.parametrize("name", sorted(EXPECTED_RANKS))
+    def test_rank_and_exact_reconstruction(self, name):
+        mult = get_multiplier(name)
+        whi = 2 ** (mult.w_bits - 1) - 1
+        assert np.linalg.matrix_rank(mult.lut[:, 1 : whi + 1].astype(np.float64)) == (
+            EXPECTED_RANKS[name]
+        )
+        assert plan_rank(mult) == EXPECTED_RANKS[name]
+        factors = lut_factors(mult, range(1, whi + 1))
+        assert factors.has_row.all()
+        signed = mult.signed_lut().astype(np.int64)
+        np.testing.assert_array_equal(factors.g @ factors.coeffs.T, signed[:, whi:])
+
+    @pytest.mark.parametrize("t", range(2, 6))
+    def test_truncated_factors_are_bit_planes(self, t):
+        factors = lut_factors(get_multiplier(f"truncated{t}"), range(1, 8))
+        np.testing.assert_array_equal(factors.basis, [1, 2, 4])
+        bits = (np.arange(8)[:, None] >> np.arange(3)) & 1
+        np.testing.assert_array_equal(factors.coeffs, bits)
+
+    def test_bit_plane_bound_equals_largest_product(self):
+        # Non-negative planes with 0/1 coefficients: the worst-case
+        # contribution of one weight is the largest LUT entry.
+        mult = get_multiplier("truncated5")
+        factors = lut_factors(mult, range(1, 8))
+        assert factors.bound == np.abs(mult.signed_lut()).max()
+
+    def test_value_columns_are_one_hot(self):
+        mult = get_multiplier("evoapprox29")
+        factors = lut_factors(mult, [2, 3, 6])
+        np.testing.assert_array_equal(factors.basis, [2, 3, 6])
+        np.testing.assert_array_equal(factors.coeffs[[2, 3, 6]], np.eye(3, dtype=np.int64))
+        assert factors.has_row.tolist() == [True, False, True, True, False, False, True, False]
+
+    def test_factors_are_memoized_per_active_set(self):
+        mult = get_multiplier("truncated3")
+        assert lut_factors(mult, [1, 2, 4]) is lut_factors(mult, np.array([4, 2, 1]))
+        assert lut_factors(mult, [1, 2]) is not lut_factors(mult, [1, 2, 4])
+
+
+_PROPERTY_DESIGNS = ["truncated1", "truncated5", "truncated3bc", "mitchell", "evoapprox470"]
+
+
+class TestPlanProperty:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        name=st.sampled_from(_PROPERTY_DESIGNS),
+        mags=st.sets(st.integers(0, 7), min_size=1),
+        m=st.integers(1, 12),
+        k=st.integers(1, 40),
+        n=st.integers(1, 9),
+        seed=st.integers(0, 2**16),
+    )
+    def test_plan_is_bitwise_equal_to_uncached(self, name, mags, m, k, n, seed):
+        mult = get_multiplier(name)
+        rng = np.random.default_rng(seed)
+        alphabet = np.array(sorted({s * v for v in mags for s in (1, -1)}), dtype=np.int32)
+        b = rng.choice(alphabet, size=(k, n))
+        a = rng.integers(-127, 128, size=(m, k), dtype=np.int32)
+        plan = build_plan(b, mult)
+        assert plan.rank <= plan.num_values
+        np.testing.assert_array_equal(
+            approx_matmul(a, b, mult, plan=plan), approx_matmul(a, b, mult)
+        )
+
+    @pytest.mark.parametrize("name", ["truncated5", "mitchell", "evoapprox249"])
+    def test_float64_regime(self, name):
+        mult = get_multiplier(name)
+        rng = np.random.default_rng(9)
+        factors = lut_factors(mult, range(1, 8))
+        k = int(2.0**23 / factors.bound) + 10
+        a, b = _random_operands(rng, mult, m=3, k=k, n=2)
+        plan = build_plan(b, mult)
+        assert plan.dtype == np.dtype(np.float64)
+        np.testing.assert_array_equal(
+            approx_matmul(a, b, mult, plan=plan), approx_matmul(a, b, mult)
+        )

@@ -223,6 +223,13 @@ class TestZoo:
         with pytest.raises(MultiplierError):
             rank_multipliers(["nosuchmult"])
 
+    def test_entries_report_plan_rank(self):
+        ranks = {e.name: e.plan_rank for e in rank_multipliers()}
+        assert ranks["exact"] == 1
+        assert ranks["truncated1"] == 2
+        assert all(ranks[f"truncated{t}"] == 3 for t in range(2, 6))
+        assert all(r == 7 for name, r in ranks.items() if name.startswith("evoapprox"))
+
     def test_prefilter_keeps_best_in_input_order(self):
         names = ["truncated5", "exact", "truncated1"]
         kept = prefilter_multipliers(names, keep=2)

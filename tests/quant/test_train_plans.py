@@ -7,11 +7,17 @@ an *optimization only*: training with the full cached path, with only
 the forward plan cache (the pre-training-plans behaviour) and with
 caching disabled entirely must produce bitwise-identical weights and
 logits at every step.
+
+The truncated3 scenarios are repeated for truncated5, whose plans gather
+3 bit-plane columns, and evoapprox228, whose full-rank LUT keeps one
+value column per active magnitude.
 """
 
 from contextlib import nullcontext
+from functools import partial
 
 import numpy as np
+import pytest
 
 from repro.approx import (
     get_multiplier,
@@ -31,19 +37,19 @@ MULT = get_multiplier("truncated3")
 GE_MODEL = PiecewiseLinearErrorModel(0.05, 0.0, -4.0, 4.0)
 
 
-def _build_mlp(error_model=GE_MODEL):
+def _build_mlp(error_model=GE_MODEL, mult=MULT):
     rng = np.random.default_rng(7)
     layers = []
     for din, dout in ((12, 24), (24, 5)):
         layer = QuantLinear(din, dout, rng=rng)
         layer.act_step, layer.weight_step = 1 / 16, 1 / 8
         layer.weight.data = np.clip(layer.weight.data, -0.8, 0.8)
-        layer.set_multiplier(MULT, error_model)
+        layer.set_multiplier(mult, error_model)
         layers.append(layer)
     return layers
 
 
-def _build_conv():
+def _build_conv(mult=MULT):
     rng = np.random.default_rng(8)
     layers = [
         QuantConv2d(3, 6, 3, padding=1, rng=rng),
@@ -52,7 +58,7 @@ def _build_conv():
     for layer in layers:
         layer.act_step, layer.weight_step = 1 / 16, 1 / 8
         layer.weight.data = np.clip(layer.weight.data, -0.8, 0.8)
-        layer.set_multiplier(MULT)
+        layer.set_multiplier(mult)
     return layers
 
 
@@ -221,3 +227,44 @@ class TestRevalidation:
         with prof.profiled() as report:
             _train(_build_conv, xs, gs)
         assert report.counter("autograd.col_plan_built").calls >= 1
+
+
+@pytest.mark.parametrize(
+    ("name", "rank"), [("truncated5", 3), ("evoapprox228", None)], ids=["bitplanes", "values"]
+)
+class TestFactorizedTrainingEquivalence:
+    """Cached and uncached training stay bitwise identical under both plan
+    factorizations, through revalidation, repair and rebuild."""
+
+    def _check_modes(self, build, xs, gs, lr=0.05):
+        runs = {}
+        for mode, ctx in CONTEXTS.items():
+            with ctx(), prof.profiled() as report:
+                runs[mode] = _train(build, xs, gs, lr=lr)
+        _assert_histories_identical(runs["uncached"], runs["prior"], "prior")
+        _assert_histories_identical(runs["uncached"], runs["cached"], "cached")
+        return report
+
+    def _check_rank(self, layers, rank):
+        x = np.zeros((1, layers[0].weight.data.shape[1]), dtype=np.float32)
+        layers[0](Tensor(x))
+        ((_, _, state),) = layers[0]._plan_cache._entries.values()
+        assert state.plan.rank == (state.plan.num_values if rank is None else rank)
+
+    def test_linear(self, rng, name, rank):
+        mult = get_multiplier(name)
+        self._check_rank(_build_mlp(mult=mult), rank)
+        xs, gs = _batches(rng, 5, (6, 12), (6, 5))
+        self._check_modes(partial(_build_mlp, mult=mult), xs, gs)
+
+    def test_conv(self, rng, name, rank):
+        xs, gs = _batches(rng, 4, (3, 3, 8, 8), (3, 6, 4, 4))
+        self._check_modes(partial(_build_conv, mult=get_multiplier(name)), xs, gs)
+
+    def test_large_lr_code_churn_repairs(self, rng, name, rank):
+        xs, gs = _batches(rng, 6, (6, 12), (6, 5), g_scale=1.0)
+        report = self._check_modes(
+            partial(_build_mlp, mult=get_multiplier(name)), xs, gs, lr=0.5
+        )
+        # the cached run absorbed some of the churn by in-place repair
+        assert report.counter("approx.plan_repaired").calls >= 1

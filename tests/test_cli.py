@@ -191,12 +191,14 @@ class TestInspection:
         payload = json.loads(out_json.read_text())
         assert payload["entries"][0]["name"] == "exact"
         assert payload["entries"][0]["rank"] == 1
+        assert payload["entries"][0]["plan_rank"] == 1
 
     def test_zoo_subset(self, capsys):
         assert main(["zoo", "--multipliers", "truncated3", "truncated5"]) == 0
         out = capsys.readouterr().out
         assert "truncated3" in out and "truncated5" in out
         assert "evoapprox249" not in out
+        assert "plan_rank" in out
 
     def test_missing_checkpoint_errors_cleanly(self, tmp_path, capsys):
         code = main(["evaluate", "--checkpoint", str(tmp_path / "none.npz"), *FAST_DATA])
