@@ -90,9 +90,9 @@ def main() -> None:
             quant_model, _ = quantization_stage(model, data, train_config=ft, temperature=1.0)
 
             # Fit two error models on a two-process pool: the worker spans
-            # (mc.chunk, approx.matmul, ...) travel back with the results
-            # and appear in the exported trace under their worker pids,
-            # parented onto this fit_error_models span.
+            # travel back with the results and appear in the exported trace
+            # under their worker pids, parented onto this fit_error_models
+            # span.
             with tr.span("fit_error_models"):
                 fitted = dict(
                     map_workers(

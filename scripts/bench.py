@@ -1,16 +1,13 @@
 #!/usr/bin/env python
 """Wall-time benchmarks seeding the perf trajectory.
 
-Times the parallelised hot paths (``docs/PERFORMANCE.md``) serially and at
+Times the parallel sweep (``docs/PERFORMANCE.md``) serially and at
 ``--workers`` workers, plus the weight-stationary kernel-plan cache
 (cached vs uncached), and writes the measurements to a JSON file
 (default ``BENCH_pr5.json``) for trend tracking across PRs:
 
 - **sweep** — ``run_sweep`` over a multiplier × method grid on a small
   quantized CNN (process pool, one cell per task);
-- **montecarlo** — Monte-Carlo error profiling of one multiplier
-  (process pool over simulation chunks, bit-identical to serial);
-- **gemm** — a large approximate GEMM (threaded row blocks);
 - **eval** — repeated-batch evaluation of a quantized MLP with an
   approximate multiplier attached, with the per-layer plan cache on vs
   off (``repro.approx.plan``); outputs are asserted bitwise identical.
@@ -25,8 +22,8 @@ Times the parallelised hot paths (``docs/PERFORMANCE.md``) serially and at
   with per-candidate cross-validation of the two fitted models; the
   full run is committed as ``BENCH_analytic.json``.
 
-``--smoke`` shrinks every workload for CI. Parallel speedups are
-hardware-bound: on a single-core runner they are expected to be ~1x or
+``--smoke`` shrinks every workload for CI. The sweep speedup is
+hardware-bound: on a single-core runner it is expected to be ~1x or
 below (the report records ``cpu_count`` so trends stay interpretable).
 The **eval**, **train** and **analytic** speedups are
 hardware-independent — the fast paths strictly remove work — so CI gates
@@ -110,45 +107,6 @@ def bench_sweep(workers: int, smoke: bool) -> dict:
         "sweep", serial_s, parallel_s, workers,
         cells=len(multipliers) * (1 if smoke else 2),
     )
-
-
-def bench_montecarlo(workers: int, smoke: bool) -> dict:
-    from repro.approx import get_multiplier
-    from repro.ge import profile_multiplier_error
-
-    mult = get_multiplier("truncated4")
-    sims = 50 if smoke else 400
-    rows = 64 if smoke else 256
-
-    def profile(n: int):
-        return profile_multiplier_error(
-            mult, num_simulations=sims, gemm_rows=rows, rng=0, workers=n
-        )
-
-    serial_s = _timed(lambda: profile(1))
-    parallel_s = _timed(lambda: profile(workers))
-    return _result("montecarlo", serial_s, parallel_s, workers, simulations=sims)
-
-
-def bench_gemm(workers: int, smoke: bool) -> dict:
-    from repro.approx import get_multiplier
-    from repro.approx.gemm import approx_matmul
-
-    mult = get_multiplier("truncated4")
-    rng = np.random.default_rng(0)
-    m = 2048 if smoke else 8192
-    a = rng.integers(-127, 128, size=(m, 72), dtype=np.int64).astype(np.int32)
-    b = rng.integers(-7, 8, size=(72, 64), dtype=np.int64).astype(np.int32)
-    repeats = 3
-
-    def gemm(n: int):
-        for _ in range(repeats):
-            approx_matmul(a, b, mult, workers=n)
-
-    gemm(1)  # warm the LUT caches out of the timed region
-    serial_s = _timed(lambda: gemm(1))
-    parallel_s = _timed(lambda: gemm(workers))
-    return _result("gemm", serial_s, parallel_s, workers, rows=m, repeats=repeats)
 
 
 def bench_eval(workers: int, smoke: bool) -> dict:
@@ -404,7 +362,7 @@ def bench_analytic(workers: int, smoke: bool) -> dict:
         analytic_error_model(mult)  # warm this candidate's LUT for both engines
         analytic_s = min(_timed(lambda: analytic_error_model(mult)) for _ in range(3))
         mc_s = _timed(
-            lambda: montecarlo_error_model(mult, num_simulations=sims, rng=0, workers=1)
+            lambda: montecarlo_error_model(mult, num_simulations=sims, rng=0)
         )
         validation = cross_validate(mult, num_simulations=sims, rng=0)
         mc_total += mc_s
@@ -436,8 +394,6 @@ def bench_analytic(workers: int, smoke: bool) -> dict:
 
 BENCHES = {
     "sweep": bench_sweep,
-    "montecarlo": bench_montecarlo,
-    "gemm": bench_gemm,
     "eval": bench_eval,
     "train": bench_train,
     "analytic": bench_analytic,

@@ -17,23 +17,7 @@ from repro.approx.evoapprox import (
     EvoApproxSpec,
     synthesize_evoapprox_lut,
 )
-from repro.approx.backend import (
-    GemmBackend,
-    available_backends,
-    default_backend,
-    gemm_backend,
-    get_backend,
-    int8_scaled_matmul,
-    quantize_per_axis,
-    set_default_backend,
-    tiered_exact_int_matmul,
-)
-from repro.approx.gemm import (
-    approx_matmul,
-    approx_matmul_with_exact,
-    exact_int_matmul,
-    exact_int_matmul_cached,
-)
+from repro.approx.gemm import approx_matmul, exact_int_matmul
 from repro.approx.metrics import (
     error_bias_ratio,
     max_absolute_error,
@@ -89,18 +73,7 @@ __all__ = [
     "EVOAPPROX_SPECS",
     "synthesize_evoapprox_lut",
     "approx_matmul",
-    "approx_matmul_with_exact",
     "exact_int_matmul",
-    "exact_int_matmul_cached",
-    "tiered_exact_int_matmul",
-    "GemmBackend",
-    "available_backends",
-    "default_backend",
-    "get_backend",
-    "set_default_backend",
-    "gemm_backend",
-    "int8_scaled_matmul",
-    "quantize_per_axis",
     "GemmPlan",
     "LayerKernelState",
     "PlanCache",

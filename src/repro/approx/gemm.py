@@ -25,58 +25,38 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.approx.backend import (
-    GemmBackend,
-    get_backend,
-    tiered_exact_int_matmul,
+from repro.approx.multiplier import (
+    EXACT_FLOAT32_BOUND,
+    EXACT_FLOAT64_BOUND,
+    EXACT_INT64_BOUND,
+    Multiplier,
 )
-from repro.approx.multiplier import Multiplier
 from repro.approx.plan import GemmPlan, check_magnitude
 from repro.errors import MultiplierError, ShapeError
 from repro.obs import profiling as prof
 from repro.obs import trace as tr
-from repro.parallel import ParallelConfig, amortized_workers, map_workers
-
-# Row-block size of the threaded GEMM path. Each output row depends only on
-# the matching row of ``a``, so row blocks evaluate independently and the
-# chunked result is bitwise identical to the single-shot one. Blocks much
-# smaller than this are dominated by dispatch overhead.
-ROW_BLOCK = 256
 
 
-def exact_int_matmul(
-    a: np.ndarray, b: np.ndarray, backend: str | GemmBackend | None = None
-) -> np.ndarray:
-    """Exact integer GEMM through the active backend.
+def exact_int_matmul(a: np.ndarray, b: np.ndarray, cache: dict | None = None) -> np.ndarray:
+    """Exact integer GEMM with tiered float32/float64/int64 accumulation.
 
-    The reference strategy is tiered float32/float64 BLAS — exact for the
-    bounded operands produced by the quantizer (docs/PERFORMANCE.md lists
-    the tier bounds) — with int64 accumulation above the float64 tier. A
-    backend may substitute its own exact kernel (e.g. int8-accumulate)
-    or decline, in which case the tiered reference runs; the result is
-    bitwise identical either way.
-    """
-    a = np.asarray(a)
-    b = np.asarray(b)
-    with prof.timer("approx.exact_matmul", nbytes=a.nbytes + b.nbytes):
-        y = get_backend(backend).exact_int(a, b)
-        if y is None:
-            y = tiered_exact_int_matmul(a, b)
-        return y
-
-
-def exact_int_matmul_cached(a: np.ndarray, b: np.ndarray, cache: dict) -> np.ndarray:
-    """:func:`exact_int_matmul` with memoized conversions of operand ``b``.
+    Picks the cheapest dtype whose accumulation is provably exact for the
+    operands' worst-case partial sum ``max|a|·max|b|·K`` (the bounds in
+    :mod:`repro.approx.multiplier`); raises
+    :class:`~repro.errors.MultiplierError` when even int64 could wrap
+    (``≥ 2^63``) rather than returning silently-overflowed garbage.
 
     Gradient estimation runs an exact GEMM alongside every approximate one
     with the *same* weight operand each batch; ``cache`` (owned by the
     layer's :class:`~repro.approx.plan.LayerKernelState`) memoizes the
-    dtype conversion and magnitude of ``b`` across batches. The tier
-    decision and arithmetic are identical to the tiered reference, so the
-    result is bitwise identical — only the ``astype`` of ``b`` is reused.
+    magnitude and dtype conversions of ``b`` across batches. The tier
+    decision and arithmetic do not depend on it, so the result is bitwise
+    identical with or without a cache.
     """
     a = np.asarray(a)
     b = np.asarray(b)
+    if cache is None:
+        cache = {}
     with prof.timer("approx.exact_matmul", nbytes=a.nbytes + b.nbytes):
         if not (a.size and b.size):
             return a.astype(np.int64) @ b.astype(np.int64)
@@ -84,35 +64,31 @@ def exact_int_matmul_cached(a: np.ndarray, b: np.ndarray, cache: dict) -> np.nda
         if bmax is None:
             bmax = cache["absmax"] = float(np.abs(b).max())
         max_sum = float(np.abs(a).max()) * bmax * a.shape[1]
-        if max_sum < 2.0**23:
-            b32 = cache.get("f4")
-            if b32 is None:
-                b32 = cache["f4"] = b.astype(np.float32)
-            return np.rint(a.astype(np.float32) @ b32).astype(np.int64)
-        if max_sum < 2.0**52:
-            b64 = cache.get("f8")
-            if b64 is None:
-                b64 = cache["f8"] = b.astype(np.float64)
-            return np.rint(a.astype(np.float64) @ b64).astype(np.int64)
-        if max_sum >= 2.0**63:
+        if max_sum < EXACT_FLOAT32_BOUND:
+            dtype = np.float32
+        elif max_sum < EXACT_FLOAT64_BOUND:
+            dtype = np.float64
+        elif max_sum >= EXACT_INT64_BOUND:
             raise MultiplierError(
                 "exact integer GEMM would overflow the int64 accumulator: "
                 f"worst-case partial sum {max_sum:.3g} >= 2^63 for shapes "
                 f"{a.shape} x {b.shape}; rescale or requantize the operands"
             )
-        b_i8 = cache.get("i8")
-        if b_i8 is None:
-            b_i8 = cache["i8"] = b.astype(np.int64)
-        return a.astype(np.int64) @ b_i8
+        else:
+            dtype = np.int64
+        key = np.dtype(dtype).str
+        b_conv = cache.get(key)
+        if b_conv is None:
+            b_conv = cache[key] = b.astype(dtype)
+        y = a.astype(dtype) @ b_conv
+        return y if dtype is np.int64 else np.rint(y).astype(np.int64)
 
 
 def approx_matmul(
     a: np.ndarray,
     b: np.ndarray,
     multiplier: Multiplier,
-    workers: int | None = None,
     plan: GemmPlan | None = None,
-    backend: str | GemmBackend | None = None,
 ) -> np.ndarray:
     """Approximate integer GEMM ``a @ b`` using ``multiplier`` elementwise.
 
@@ -124,24 +100,13 @@ def approx_matmul(
     b:
         Signed integer codes of shape (K, N); magnitudes must fit the
         multiplier's ``w_bits`` unsigned domain.
-    workers:
-        Evaluate independent row blocks of ``a`` on this many threads when
-        M spans several blocks and the machine has more than one usable
-        CPU (``docs/PERFORMANCE.md``); ``None`` uses the process-wide
-        default (the CLI's ``--workers``). The result is bitwise identical
-        at any worker count.
     plan:
         A weight-stationary :class:`~repro.approx.plan.GemmPlan` built
         from this exact ``b`` and ``multiplier``
         (:func:`repro.approx.plan.build_plan`). Skips every
         weight-dependent scan and gathers into a pooled workspace; the
-        result is bitwise identical to the plan-less call.
-    backend:
-        GEMM backend name or instance
-        (:mod:`repro.approx.backend`); ``None`` uses the process-wide
-        default. Backends whose ``use_plans`` is False (``exact-blas``)
-        ignore ``plan`` and run the uncached reference scans — every
-        backend choice is bitwise identical.
+        result is bitwise identical to the plan-less call, which runs the
+        uncached reference scans.
     """
     a = np.asarray(a)
     b = np.asarray(b)
@@ -149,17 +114,19 @@ def approx_matmul(
         raise ShapeError(f"incompatible GEMM shapes {a.shape} x {b.shape}")
     if a.dtype.kind not in "iu" or b.dtype.kind not in "iu":
         raise MultiplierError("approx_matmul operates on integer codes")
-    resolved = get_backend(backend)
     if multiplier.is_exact:
-        return exact_int_matmul(a, b, backend=resolved)
-    if not resolved.use_plans:
-        plan = None
+        return exact_int_matmul(a, b)
 
     xhi = 2 ** (multiplier.x_bits - 1) - 1
     whi = 2 ** (multiplier.w_bits - 1) - 1
     check_magnitude(a, xhi, multiplier.name, "a")
     if plan is None:
         check_magnitude(b, whi, multiplier.name, "b")
+    elif plan.multiplier_name != multiplier.name:
+        raise MultiplierError(
+            f"plan built for multiplier {plan.multiplier_name!r} applied "
+            f"with {multiplier.name!r}"
+        )
     elif plan.k != a.shape[1] or plan.n != b.shape[1]:
         raise ShapeError(
             f"plan built for ({plan.k}, {plan.n}) weights applied to GEMM "
@@ -173,47 +140,23 @@ def approx_matmul(
         n=int(b.shape[1]),
         planned=plan is not None,
     ):
-        num_workers = amortized_workers(workers, tasks=a.shape[0] // ROW_BLOCK)
-        if num_workers > 1 and a.shape[0] >= 2 * ROW_BLOCK:
-            blocks = min(num_workers, -(-a.shape[0] // ROW_BLOCK))
-            bounds = np.linspace(0, a.shape[0], blocks + 1, dtype=int)
-            rows = [a[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
-            with prof.timer("approx.matmul_chunked", nbytes=a.nbytes + b.nbytes):
-                parts = map_workers(
-                    lambda block: _run_block(block, b, multiplier, xhi, whi, plan),
-                    rows,
-                    ParallelConfig(workers=blocks, backend="thread"),
-                )
-            return np.concatenate(parts, axis=0)
-        return _run_block(a, b, multiplier, xhi, whi, plan)
-
-
-def _run_block(
-    a: np.ndarray,
-    b: np.ndarray,
-    multiplier: Multiplier,
-    xhi: int,
-    whi: int,
-    plan: GemmPlan | None,
-) -> np.ndarray:
-    if plan is not None:
-        return plan.execute(a)
-    return _approx_matmul_block(a, b, multiplier, xhi, whi)
+        if plan is not None:
+            return plan.execute(a)
+        return _approx_matmul_block(a, b, multiplier, xhi, whi)
 
 
 def _approx_matmul_block(
     a: np.ndarray, b: np.ndarray, multiplier: Multiplier, xhi: int, whi: int
 ) -> np.ndarray:
-    """The LUT-decomposition GEMM on one (row block of) operand ``a``.
+    """The LUT-decomposition GEMM: one gather and one mask per active value.
 
     This is the uncached reference path; the plan path must stay bitwise
-    identical to it (``tests/approx/test_plan.py``).
+    identical to it (``tests/approx/test_plan.py``). float32 accumulation
+    is used while the worst-case partial sum stays below
+    :data:`~repro.approx.multiplier.EXACT_FLOAT32_BOUND`, float64 otherwise.
     """
-    # float32 accumulation is exact while every partial sum of integer
-    # products stays below 2^24 (the float32 mantissa bound); gate at 2^23
-    # for a 2x margin, fall back to float64 otherwise (docs/PERFORMANCE.md).
     max_product = float(np.abs(multiplier.lut).max())
-    use_f32 = max_product * a.shape[1] < 2.0**23
+    use_f32 = max_product * a.shape[1] < EXACT_FLOAT32_BOUND
     lut = multiplier.signed_lut_f32() if use_f32 else multiplier.signed_lut_f64()
     dtype = np.float32 if use_f32 else np.float64
     itemsize = np.dtype(dtype).itemsize
@@ -251,15 +194,3 @@ def _approx_matmul_block(
         big_h = np.concatenate(masks, axis=0)
         return np.rint(big_g @ big_h).astype(np.int64)
 
-
-def approx_matmul_with_exact(
-    a: np.ndarray, b: np.ndarray, multiplier: Multiplier
-) -> tuple[np.ndarray, np.ndarray]:
-    """Return ``(ỹ, y)`` — approximate and exact GEMM on the same operands.
-
-    Used by gradient estimation, which needs the exact output ``y`` to decide
-    which entries fall in the linear region of the fitted error function.
-    """
-    exact = exact_int_matmul(a, b)
-    approx = approx_matmul(a, b, multiplier)
-    return approx, exact

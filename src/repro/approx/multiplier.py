@@ -13,6 +13,15 @@ import numpy as np
 
 from repro.errors import MultiplierError
 
+# Exactness bounds on the worst-case partial sum of an integer GEMM, shared
+# by the exact and LUT GEMM engines (docs/PERFORMANCE.md). float32 sums of
+# integers are exact below 2^24 (the mantissa bound), gated at 2^23 for a
+# 2x margin; float64 likewise below 2^53, gated at 2^52. int64 accumulation
+# wraps silently past 2^63, so the engines reject rather than wrap.
+EXACT_FLOAT32_BOUND = 2.0**23
+EXACT_FLOAT64_BOUND = 2.0**52
+EXACT_INT64_BOUND = 2.0**63
+
 
 class Multiplier:
     """An unsigned ``x_bits × w_bits`` multiplier defined by a LUT.

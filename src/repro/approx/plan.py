@@ -44,15 +44,10 @@ from typing import Any, Callable
 
 import numpy as np
 
-from repro.approx.multiplier import Multiplier
+from repro.approx.multiplier import EXACT_FLOAT32_BOUND, Multiplier
 from repro.errors import MultiplierError, ShapeError
 from repro.obs import metrics as met
 from repro.obs import profiling as prof
-
-# float32 partial sums of integer products are exact below 2^24 (the
-# mantissa bound); we gate at 2^23 to keep a 2x safety margin. The full
-# tier table lives in docs/PERFORMANCE.md.
-_EXACT_FLOAT32_BOUND = 2.0**23
 
 _caching_enabled = True
 _train_plans_enabled = True
@@ -404,7 +399,7 @@ class GemmPlan:
         return self.factors.rank
 
     def execute(self, a: np.ndarray) -> np.ndarray:
-        """The approximate GEMM ``a @ B`` for one (row block of) ``a``.
+        """The approximate GEMM ``a @ B`` for activation codes ``a``.
 
         ``a`` must hold integer codes within the multiplier's symmetric
         x-range (the caller checks, exactly like the uncached path).
@@ -468,7 +463,7 @@ def build_plan(b: np.ndarray, multiplier: Multiplier) -> GemmPlan:
         values = np.unique(mag)
         values = values[values > 0]
         factors = lut_factors(multiplier, values)
-        use_f32 = factors.bound * k < _EXACT_FLOAT32_BOUND
+        use_f32 = factors.bound * k < EXACT_FLOAT32_BOUND
         dtype = np.dtype(np.float32) if use_f32 else np.dtype(np.float64)
         r = factors.rank
         big_h = np.zeros((k * r, n), dtype=dtype)

@@ -9,32 +9,15 @@ from repro.autograd.im2col import col2im, conv_out_size, im2col, sliding_windows
 from repro.autograd.tensor import Tensor, as_tensor
 from repro.errors import ShapeError
 
-_backend_module = None  # lazily bound so autograd has no import-time approx dep
-
-
-def _float_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Float GEMM through the active :mod:`repro.approx.backend`.
-
-    Every shipped backend keeps float GEMMs exact, so backend selection
-    never changes results here — it is the single seam where an
-    accelerated substrate would plug in.
-    """
-    global _backend_module
-    if _backend_module is None:
-        from repro.approx import backend as _backend_module_
-
-        _backend_module = _backend_module_
-    return _backend_module.float_matmul(a, b)
-
 
 class MatMul(Function):
     def forward(self, a, b):
         self.a, self.b = np.asarray(a), np.asarray(b)
-        return _float_matmul(self.a, self.b)
+        return self.a @ self.b
 
     def backward(self, grad_out):
-        grad_a = _float_matmul(grad_out, self.b.T)
-        grad_b = _float_matmul(self.a.T, grad_out)
+        grad_a = grad_out @ self.b.T
+        grad_b = self.a.T @ grad_out
         return grad_a, grad_b
 
 
@@ -44,14 +27,14 @@ class LinearOp(Function):
     def forward(self, x, weight, bias):
         self.x, self.weight = np.asarray(x), np.asarray(weight)
         self.has_bias = bias is not None
-        out = _float_matmul(self.x, self.weight.T)
+        out = self.x @ self.weight.T
         if self.has_bias:
             out = out + bias
         return out
 
     def backward(self, grad_out):
-        grad_x = _float_matmul(grad_out, self.weight)
-        grad_w = _float_matmul(grad_out.T, self.x)
+        grad_x = grad_out @ self.weight
+        grad_w = grad_out.T @ self.x
         grad_b = grad_out.sum(axis=0) if self.has_bias else None
         return grad_x, grad_w, grad_b
 
@@ -84,7 +67,7 @@ class Conv2dOp(Function):
         if groups == 1:
             cols, _ = im2col(x, (kh, kw), stride, padding)  # (N*OH*OW, C*KH*KW)
             self.cols = cols
-            out = _float_matmul(cols, weight.reshape(oc, -1).T)  # (N*OH*OW, OC)
+            out = cols @ weight.reshape(oc, -1).T  # (N*OH*OW, OC)
             out = out.reshape(n, oh, ow, oc).transpose(0, 3, 1, 2)
         elif groups == c and cg == 1:
             # Depthwise fast path: one filter (per output-channel multiplier m)
@@ -105,7 +88,7 @@ class Conv2dOp(Function):
                 wg = weight[g * ocg : (g + 1) * ocg]
                 cols, _ = im2col(xg, (kh, kw), stride, padding)
                 self.group_cols.append(cols)
-                og = _float_matmul(cols, wg.reshape(ocg, -1).T)
+                og = cols @ wg.reshape(ocg, -1).T
                 outs.append(og.reshape(n, oh, ow, ocg).transpose(0, 3, 1, 2))
             out = np.concatenate(outs, axis=1)
 
@@ -123,8 +106,8 @@ class Conv2dOp(Function):
 
         if groups == 1:
             g2 = grad_out.transpose(0, 2, 3, 1).reshape(n * oh * ow, oc)
-            grad_w = _float_matmul(g2.T, self.cols).reshape(oc, cg, kh, kw)
-            grad_cols = _float_matmul(g2, self.weight.reshape(oc, -1))
+            grad_w = (g2.T @ self.cols).reshape(oc, cg, kh, kw)
+            grad_cols = g2 @ self.weight.reshape(oc, -1)
             grad_x = col2im(grad_cols, self.x_shape, (kh, kw), stride, padding)
         elif groups == c and cg == 1:
             m = oc // c
@@ -144,12 +127,8 @@ class Conv2dOp(Function):
                 gg = grad_out[:, g * ocg : (g + 1) * ocg]
                 g2 = gg.transpose(0, 2, 3, 1).reshape(n * oh * ow, ocg)
                 cols = self.group_cols[g]
-                grad_w[g * ocg : (g + 1) * ocg] = _float_matmul(g2.T, cols).reshape(
-                    ocg, cg, kh, kw
-                )
-                grad_cols = _float_matmul(
-                    g2, self.weight[g * ocg : (g + 1) * ocg].reshape(ocg, -1)
-                )
+                grad_w[g * ocg : (g + 1) * ocg] = (g2.T @ cols).reshape(ocg, cg, kh, kw)
+                grad_cols = g2 @ self.weight[g * ocg : (g + 1) * ocg].reshape(ocg, -1)
                 grad_x_parts.append(
                     col2im(grad_cols, (n, cg, h, w), (kh, kw), stride, padding)
                 )

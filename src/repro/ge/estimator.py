@@ -96,7 +96,6 @@ def estimate_error_model(
     num_simulations: int = 50,
     slope_significance: float = 0.25,
     rng=None,
-    workers: int | None = None,
     method: str | None = None,
     act_dist: OperandDistribution | None = None,
     w_dist: OperandDistribution | None = None,
@@ -106,7 +105,7 @@ def estimate_error_model(
     engine.
 
     ``method`` overrides the ``error_model_method`` knob for this call.
-    ``num_simulations``/``rng``/``workers``/``gemm_rows``/``out_dim`` only
+    ``num_simulations``/``rng``/``gemm_rows``/``out_dim`` only
     affect the Monte-Carlo engine; ``act_dist``/``w_dist`` (operand
     distributions, e.g. from a quant observer's ``code_histogram``) only
     the analytic one. Shared shape kwargs (``reduce_dim``, ``act_bits``,
@@ -134,7 +133,6 @@ def estimate_error_model(
         num_simulations=num_simulations,
         slope_significance=slope_significance,
         rng=rng,
-        workers=workers,
         **profile_kwargs,
     )
 
@@ -170,7 +168,6 @@ def cross_validate(
     num_simulations: int = 50,
     slope_significance: float = 0.25,
     rng=0,
-    workers: int | None = None,
     grid_points: int = 257,
     **profile_kwargs,
 ) -> CrossValidation:
@@ -184,7 +181,6 @@ def cross_validate(
         multiplier,
         num_simulations=num_simulations,
         rng=rng,
-        workers=workers,
         **profile_kwargs,
     )
     mc_model = fit_error_model(

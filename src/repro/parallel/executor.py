@@ -1,8 +1,8 @@
 """Multi-worker executor: deterministic fan-out over independent work items.
 
-The sweeps behind Tables 5-7, Monte-Carlo error profiling and large
-approximate GEMMs are all embarrassingly parallel; this module is the one
-place that knows how to spread them over workers (``docs/PERFORMANCE.md``):
+The sweeps behind Tables 5-7 are embarrassingly parallel — every grid
+cell trains and evaluates independently; this module is the one place that
+knows how to spread such work over workers (``docs/PERFORMANCE.md``):
 
 - :class:`ParallelConfig` selects a worker count and a backend
   (``process`` via fork for Python-heavy work, ``thread`` for
@@ -28,7 +28,7 @@ import threading
 from concurrent.futures import FIRST_EXCEPTION, Executor, ProcessPoolExecutor
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable
 
 from repro import config
 from repro.errors import ConfigError
@@ -118,23 +118,12 @@ def force_parallel() -> bool:
     return bool(config.resolve("force_parallel"))
 
 
-def amortized_workers(
-    workers: int | None,
-    tasks: int,
-    *,
-    work: float | None = None,
-    min_work: float = 0.0,
-) -> int:
+def amortized_workers(workers: int | None, tasks: int) -> int:
     """Worker count after the can-it-amortize guard (``docs/PERFORMANCE.md``).
 
-    Pool dispatch has a fixed cost per task and per fork, so fanning out
-    tiny workloads makes them *slower* — this is the one place that
-    decides when fan-out cannot win and serial is the faster plan:
-
-    - fewer than two tasks, or only one usable CPU
-      (:func:`cpu_parallelism`), or
-    - ``work`` (a caller-chosen size estimate, e.g. total MACs) below
-      ``min_work``.
+    Pool dispatch has a fixed cost per task and per fork, so fan-out
+    cannot win with fewer than two tasks or only one usable CPU
+    (:func:`cpu_parallelism`); those run serially.
 
     ``REPRO_FORCE_PARALLEL=1`` bypasses the guard so the concurrency
     test-suite can exercise real pools on single-core CI runners.
@@ -146,13 +135,11 @@ def amortized_workers(
         return requested
     if tasks < 2 or cpu_parallelism() < 2:
         return 1
-    if work is not None and work < min_work:
-        return 1
     return requested
 
 
 # ----------------------------------------------------------------------
-# process-wide default (set by the CLI's --workers flag)
+# process-wide default
 # ----------------------------------------------------------------------
 _default_config = ParallelConfig()
 _default_lock = threading.Lock()
@@ -381,18 +368,3 @@ def persistent_executor(
         raise ConfigError(f"workers must be >= 1, got {workers}")
     return ThreadPoolExecutor(max_workers=workers, thread_name_prefix=thread_name_prefix)
 
-
-def chunked(items: Sequence, chunks: int) -> list[list]:
-    """Split ``items`` into at most ``chunks`` contiguous, order-preserving
-    runs of near-equal length (no empty chunks)."""
-    items = list(items)
-    if not items:
-        return []
-    chunks = max(1, min(chunks, len(items)))
-    size, extra = divmod(len(items), chunks)
-    out, start = [], 0
-    for index in range(chunks):
-        stop = start + size + (1 if index < extra else 0)
-        out.append(items[start:stop])
-        start = stop
-    return out

@@ -31,8 +31,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.approx.backend import float_matmul
-from repro.approx.gemm import approx_matmul, exact_int_matmul, exact_int_matmul_cached
+from repro.approx.gemm import approx_matmul, exact_int_matmul
 from repro.approx.multiplier import Multiplier
 from repro.approx.plan import (
     GemmPlan,
@@ -88,20 +87,15 @@ def _int_gemm(
     ``need_exact`` (for GE region tests) and differs from ``y_int``. ``plan``
     is an optional weight-stationary plan built from this exact ``b``;
     ``exact_cache`` optionally memoizes the exact path's conversions of
-    ``b`` across batches (:func:`repro.approx.gemm.exact_int_matmul_cached`).
-    The result is bitwise identical with or without either.
+    ``b`` across batches (the ``cache`` of
+    :func:`repro.approx.gemm.exact_int_matmul`). The result is bitwise
+    identical with or without either.
     """
-
-    def _exact(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        if exact_cache is not None:
-            return exact_int_matmul_cached(lhs, rhs, exact_cache)
-        return exact_int_matmul(lhs, rhs)
-
     if multiplier is None or multiplier.is_exact:
-        y = _exact(a, b)
+        y = exact_int_matmul(a, b, cache=exact_cache)
         return y, (y if need_exact else None)
     y = approx_matmul(a, b, multiplier, plan=plan)
-    y_exact = _exact(a, b) if need_exact else None
+    y_exact = exact_int_matmul(a, b, cache=exact_cache) if need_exact else None
     return y, y_exact
 
 
@@ -233,8 +227,8 @@ class QuantLinearFunction(Function):
             "w_fq",
             lambda: self.wq.astype(np.float32) * self.w_step_col[:, None],
         )
-        grad_x = float_matmul(g, w_fq) * self.x_mask
-        grad_w = float_matmul(g.T, x_fq) * self.w_mask
+        grad_x = (g @ w_fq) * self.x_mask
+        grad_w = (g.T @ x_fq) * self.w_mask
         grad_b = grad_out.sum(axis=0) if self.has_bias else None
         return (grad_x, grad_w, grad_b, None, None, None, None, None, None)
 
@@ -450,8 +444,8 @@ class QuantConv2dFunction(Function):
                 "w_fq2",
                 lambda: self.wq.reshape(oc, -1).astype(np.float32) * sw_col[:, None],
             )
-            grad_w = float_matmul(g2.T, x_fq).reshape(self.wq.shape)
-            grad_cols = float_matmul(g2, w_fq)
+            grad_w = (g2.T @ x_fq).reshape(self.wq.shape)
+            grad_cols = g2 @ w_fq
             grad_x = col2im(grad_cols, self.x_shape, (kh, kw), stride, padding)
         elif self.depthwise:
             g4 = grad_out * self.scale  # (N, C, OH, OW)
@@ -486,10 +480,10 @@ class QuantConv2dFunction(Function):
                 g2 = gg.transpose(0, 2, 3, 1).reshape(n * oh * ow, ocg)
                 g2 = g2 * self.group_scales[g]
                 x_fq = self.group_cols[g].astype(np.float32) * sx
-                grad_w[g * ocg : (g + 1) * ocg] = float_matmul(g2.T, x_fq).reshape(
+                grad_w[g * ocg : (g + 1) * ocg] = (g2.T @ x_fq).reshape(
                     ocg, cg, kh, kw
                 )
-                grad_cols = float_matmul(g2, w_fq_groups[g])
+                grad_cols = g2 @ w_fq_groups[g]
                 grad_x_parts.append(col2im(grad_cols, (n, cg, h, w), (kh, kw), stride, padding))
             grad_x = np.concatenate(grad_x_parts, axis=1)
 

@@ -1,196 +1,32 @@
-"""GEMM backend dispatch: registry, selection precedence, bitwise contract.
+"""GEMM execution paths: planned vs. unplanned, and the exact-GEMM reference.
 
-Backends may only change *how* a result is computed, never the result:
-every backend either produces the bitwise-identical answer or declines
-and the caller falls back to the tiered reference.
+A path may only change *how* a result is computed, never the result: the
+weight-stationary plan path and the plan-less reference scans must agree
+bitwise, and the tiered exact GEMM must handle degenerate operands.
 """
 
 import numpy as np
-import pytest
 
 from repro.approx import get_multiplier
-from repro.approx.backend import (
-    GemmBackend,
-    available_backends,
-    default_backend,
-    gemm_backend,
-    get_backend,
-    int8_scaled_matmul,
-    quantize_per_axis,
-    set_default_backend,
-    tiered_exact_int_matmul,
-)
 from repro.approx.gemm import approx_matmul, exact_int_matmul
 from repro.approx.plan import build_plan
-from repro.errors import MultiplierError
-
-
-@pytest.fixture(autouse=True)
-def _reset_backend():
-    previous = set_default_backend(None)
-    yield
-    set_default_backend(previous)
-
-
-class TestRegistry:
-    def test_three_backends_registered(self):
-        assert available_backends() == ["exact-blas", "int8-accumulate", "plan-lut"]
-
-    def test_default_is_plan_lut(self):
-        assert default_backend().name == "plan-lut"
-
-    def test_get_backend_resolves_names_instances_and_default(self):
-        assert get_backend("exact-blas").name == "exact-blas"
-        custom = GemmBackend()
-        assert get_backend(custom) is custom
-        assert get_backend(None) is default_backend()
-
-    def test_unknown_backend_raises(self):
-        with pytest.raises(MultiplierError, match="unknown GEMM backend"):
-            get_backend("does-not-exist")
-
-
-class TestSelection:
-    def test_env_variable_seeds_the_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_GEMM_BACKEND", "int8-accumulate")
-        set_default_backend(None)  # force re-resolution from the environment
-        assert default_backend().name == "int8-accumulate"
-
-    def test_set_default_returns_previous_name(self):
-        assert set_default_backend("exact-blas") is None  # unresolved before
-        assert set_default_backend("plan-lut") == "exact-blas"
-
-    def test_context_manager_scopes_and_restores(self):
-        set_default_backend("plan-lut")
-        with gemm_backend("exact-blas") as active:
-            assert active.name == "exact-blas"
-            assert default_backend().name == "exact-blas"
-        assert default_backend().name == "plan-lut"
-
-    def test_context_manager_restores_after_exception(self):
-        set_default_backend("plan-lut")
-        with pytest.raises(RuntimeError):
-            with gemm_backend("int8-accumulate"):
-                raise RuntimeError("boom")
-        assert default_backend().name == "plan-lut"
 
 
 class TestExactBitwiseContract:
-    def _operands(self, rng, lo, hi):
-        a = rng.integers(lo, hi + 1, size=(7, 9)).astype(np.int64)
-        b = rng.integers(lo, hi + 1, size=(9, 5)).astype(np.int64)
-        return a, b
-
-    def test_all_backends_agree_on_int8_ranged_codes(self, rng):
-        a, b = self._operands(rng, -7, 7)
-        reference = tiered_exact_int_matmul(a, b)
-        for name in available_backends():
-            with gemm_backend(name):
-                np.testing.assert_array_equal(exact_int_matmul(a, b), reference)
-
-    def test_int8_backend_falls_back_on_wide_codes(self, rng):
-        # |codes| > 127: int8-accumulate declines and the tiered reference
-        # answers, so the result is still bitwise identical.
-        a, b = self._operands(rng, -1000, 1000)
-        backend = get_backend("int8-accumulate")
-        assert backend.exact_int(a, b) is None
-        with gemm_backend("int8-accumulate"):
-            np.testing.assert_array_equal(
-                exact_int_matmul(a, b), tiered_exact_int_matmul(a, b)
-            )
-
-    def test_int8_backend_handles_boundary_magnitude(self):
-        a = np.full((2, 3), 127, dtype=np.int64)
-        b = np.full((3, 2), -127, dtype=np.int64)
-        out = get_backend("int8-accumulate").exact_int(a, b)
-        np.testing.assert_array_equal(out, tiered_exact_int_matmul(a, b))
-        assert out.dtype == np.int64
-
     def test_approx_matmul_identical_across_backends(self, rng):
         mult = get_multiplier("truncated4")
         a = rng.integers(-7, 8, size=(6, 10)).astype(np.int64)
         b = rng.integers(-7, 8, size=(10, 4)).astype(np.int64)
-        plan = build_plan(b, mult)
         reference = approx_matmul(a, b, mult)
-        # per-call selection beats the ambient default; exact-blas forces
-        # the unplanned scan even when a plan is supplied
-        np.testing.assert_array_equal(
-            approx_matmul(a, b, mult, plan=plan, backend="exact-blas"), reference
-        )
-        np.testing.assert_array_equal(
-            approx_matmul(a, b, mult, plan=plan, backend="plan-lut"), reference
-        )
-        for name in available_backends():
-            with gemm_backend(name):
-                np.testing.assert_array_equal(
-                    approx_matmul(a, b, mult, plan=plan), reference
-                )
+        # a fresh plan and a reused plan both reproduce the unplanned scan
+        plan = build_plan(b, mult)
+        np.testing.assert_array_equal(approx_matmul(a, b, mult, plan=plan), reference)
+        np.testing.assert_array_equal(approx_matmul(a, b, mult, plan=plan), reference)
 
 
 class TestTieredReference:
-    def test_float32_tier_for_small_codes(self, rng):
-        a = rng.integers(-127, 128, size=(5, 8)).astype(np.int64)
-        b = rng.integers(-127, 128, size=(8, 3)).astype(np.int64)
-        expected = a @ b
-        np.testing.assert_array_equal(tiered_exact_int_matmul(a, b), expected)
-
-    def test_int64_tier_is_exact_past_float64(self):
-        # 2^30 * 2^30 * 4 = 2^62: past the f64-exact bound, below int64 wrap.
-        a = np.full((1, 4), 2**30, dtype=np.int64)
-        b = np.full((4, 1), 2**30, dtype=np.int64)
-        out = tiered_exact_int_matmul(a, b)
-        assert out[0, 0] == 2**62
-
-    def test_overflow_past_int64_raises(self):
-        # 2^32 * 2^31 = 2^63: the int64 accumulator would wrap silently.
-        a = np.array([[2**32]], dtype=np.int64)
-        b = np.array([[2**31]], dtype=np.int64)
-        with pytest.raises(MultiplierError, match="overflow the int64"):
-            tiered_exact_int_matmul(a, b)
-        with pytest.raises(MultiplierError, match="overflow the int64"):
-            exact_int_matmul(a, b)
-
     def test_empty_operands_are_fine(self):
-        out = tiered_exact_int_matmul(
+        out = exact_int_matmul(
             np.zeros((0, 3), dtype=np.int64), np.zeros((3, 2), dtype=np.int64)
         )
         assert out.shape == (0, 2)
-
-
-class TestInt8ScaledMatmul:
-    def test_exact_on_scale_aligned_grid(self, rng):
-        # Entries in [-127, 127] with per-row/-column absmax exactly 127:
-        # every scale is 1.0, quantization is the identity, the product
-        # is exact.
-        a = rng.integers(-127, 128, size=(4, 6)).astype(np.float32)
-        b = rng.integers(-127, 128, size=(6, 3)).astype(np.float32)
-        a[:, 0] = 127
-        b[0, :] = -127
-        np.testing.assert_array_equal(int8_scaled_matmul(a, b), a @ b)
-
-    def test_error_bound_on_floats(self, rng):
-        a = rng.normal(size=(16, 32)).astype(np.float32)
-        b = rng.normal(size=(32, 8)).astype(np.float32)
-        approx = int8_scaled_matmul(a, b)
-        exact = a @ b
-        # worst-case per-element quantization error ~ absmax/254 per
-        # operand; the relative Frobenius error stays small
-        rel = np.linalg.norm(approx - exact) / np.linalg.norm(exact)
-        assert rel < 0.02
-
-    def test_rejects_bad_shapes(self):
-        with pytest.raises(MultiplierError):
-            int8_scaled_matmul(np.zeros((2, 3)), np.zeros((4, 2)))
-        with pytest.raises(MultiplierError):
-            int8_scaled_matmul(np.zeros(3), np.zeros(3))
-
-    def test_rejects_overflowing_reduce_dim(self):
-        k = 2**18  # 127*127*2^18 > 2^31
-        with pytest.raises(MultiplierError, match="overflow"):
-            int8_scaled_matmul(np.zeros((1, k)), np.zeros((k, 1)))
-
-    def test_quantize_per_axis_zero_slices_get_unit_scale(self):
-        x = np.zeros((3, 4), dtype=np.float32)
-        codes, scales = quantize_per_axis(x, axis=0)
-        assert (codes == 0).all()
-        assert (scales == 1.0).all()

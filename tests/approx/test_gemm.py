@@ -5,14 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.approx.gemm as gemm_mod
-from repro.approx import (
-    ExactMultiplier,
-    approx_matmul,
-    approx_matmul_with_exact,
-    exact_int_matmul,
-    get_multiplier,
-)
+from repro.approx import ExactMultiplier, approx_matmul, exact_int_matmul, get_multiplier
 from repro.errors import MultiplierError, ShapeError
 
 
@@ -85,8 +78,8 @@ class TestApproximate:
         mult = get_multiplier("truncated5")
         a = _codes(rng, (200, 64), 8)
         b = _codes(rng, (64, 8), 4)
-        approx, exact = approx_matmul_with_exact(a, b, mult)
-        err = (approx - exact).astype(np.float64).reshape(-1)
+        exact = exact_int_matmul(a, b)
+        err = (approx_matmul(a, b, mult) - exact).astype(np.float64).reshape(-1)
         y = exact.astype(np.float64).reshape(-1)
         corr = np.corrcoef(y, err)[0, 1]
         assert corr < -0.5
@@ -95,8 +88,8 @@ class TestApproximate:
         mult = get_multiplier("evoapprox228")
         a = _codes(rng, (200, 64), 8)
         b = _codes(rng, (64, 8), 4)
-        approx, exact = approx_matmul_with_exact(a, b, mult)
-        err = (approx - exact).astype(np.float64).reshape(-1)
+        exact = exact_int_matmul(a, b)
+        err = (approx_matmul(a, b, mult) - exact).astype(np.float64).reshape(-1)
         y = exact.astype(np.float64).reshape(-1)
         assert abs(np.corrcoef(y, err)[0, 1]) < 0.2
 
@@ -201,3 +194,63 @@ class TestExactPrecisionTiers:
         out = exact_int_matmul(a, b)
         assert out.shape == (0, 3)
         assert out.dtype == np.int64
+
+    def test_float32_tier_for_small_codes(self, rng):
+        a = rng.integers(-127, 128, size=(5, 8)).astype(np.int64)
+        b = rng.integers(-127, 128, size=(8, 3)).astype(np.int64)
+        np.testing.assert_array_equal(exact_int_matmul(a, b), a @ b)
+
+    def test_int64_tier_is_exact_past_float64(self):
+        # 2^30 * 2^30 * 4 = 2^62: past the f64-exact bound, below int64 wrap.
+        a = np.full((1, 4), 2**30, dtype=np.int64)
+        b = np.full((4, 1), 2**30, dtype=np.int64)
+        assert exact_int_matmul(a, b)[0, 0] == 2**62
+
+    def test_overflow_past_int64_raises(self):
+        # 2^32 * 2^31 = 2^63: the int64 accumulator would wrap silently.
+        a = np.array([[2**32]], dtype=np.int64)
+        b = np.array([[2**31]], dtype=np.int64)
+        with pytest.raises(MultiplierError, match="overflow the int64"):
+            exact_int_matmul(a, b)
+        with pytest.raises(MultiplierError, match="overflow the int64"):
+            exact_int_matmul(a, b, cache={})
+
+    @pytest.mark.parametrize(
+        "hi, k, tier",
+        [
+            (127, 74, np.float32),  # 127*127*74 < 2^23
+            (1 << 12, 8, np.float64),  # 2^27 < 2^52
+            (1 << 27, 4, np.int64),  # 2^56 >= 2^52
+        ],
+    )
+    def test_cache_holds_the_selected_tier(self, hi, k, tier):
+        a = np.full((2, k), hi, dtype=np.int64)
+        b = np.full((k, 3), -hi, dtype=np.int64)
+        cache = {}
+        np.testing.assert_array_equal(
+            exact_int_matmul(a, b, cache=cache), self._int64_reference(a, b)
+        )
+        converted = [v for v in cache.values() if isinstance(v, np.ndarray)]
+        assert [v.dtype for v in converted] == [np.dtype(tier)]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([3, 127, 1 << 12, 1 << 20, 1 << 27]),
+        st.sampled_from([3, 127, 1 << 12, 1 << 20, 1 << 27]),
+    )
+    def test_reused_cache_is_bitwise_uncached(self, seed, a_hi, b_hi):
+        """A cache warmed by one call answers later calls with other ``a``
+        operands — crossing tier boundaries — bitwise like the uncached
+        call, because the tier is chosen per call and only ``b``'s
+        conversions are memoized."""
+        rng = np.random.default_rng(seed)
+        b = rng.integers(-b_hi, b_hi + 1, size=(13, 4)).astype(np.int64)
+        cache = {}
+        for hi in (a_hi, 3, 1 << 27, a_hi):
+            a = rng.integers(-hi, hi + 1, size=(6, 13)).astype(np.int64)
+            cached = exact_int_matmul(a, b, cache=cache)
+            uncached = exact_int_matmul(a, b)
+            assert cached.dtype == uncached.dtype == np.int64
+            np.testing.assert_array_equal(cached, uncached)
+            np.testing.assert_array_equal(uncached, self._int64_reference(a, b))

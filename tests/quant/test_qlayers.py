@@ -34,6 +34,36 @@ def _x(rng, shape):
     return Tensor(rng.normal(size=shape).astype(np.float32))
 
 
+def _in_range(layer):
+    layer.act_step, layer.weight_step = 1 / 32, 1 / 8
+    layer.weight.data = np.clip(layer.weight.data, -0.85, 0.85)
+    return layer
+
+
+# layer kind -> (layer, input shape)
+_LAYER_FACTORIES = {
+    "linear": lambda rng: (_in_range(QuantLinear(8, 4, qconfig=QConfig(), rng=rng)), (8, 8)),
+    "conv": lambda rng: (
+        _in_range(QuantConv2d(3, 6, 3, padding=1, qconfig=QConfig(), rng=rng)),
+        (2, 3, 8, 8),
+    ),
+    "grouped_conv": lambda rng: (
+        _in_range(QuantConv2d(4, 6, 3, padding=1, groups=2, qconfig=QConfig(), rng=rng)),
+        (2, 4, 8, 8),
+    ),
+}
+
+
+def _forward_backward(layer, x, upstream, multiplier, error_model):
+    """(output, input grad, weight grad) of ``layer`` under ``multiplier``."""
+    layer.set_multiplier(multiplier, error_model)
+    layer.weight.zero_grad()
+    xt = Tensor(x, requires_grad=True)
+    out = layer(xt)
+    (out * Tensor(upstream)).sum().backward()
+    return out.data.copy(), xt.grad.copy(), layer.weight.grad.copy()
+
+
 class TestLifecycle:
     def test_uncalibrated_forward_raises(self, rng):
         layer = QuantConv2d(3, 4, 3)
@@ -120,10 +150,14 @@ class TestExactIntegerPath:
 
 class TestApproximatePath:
     def test_exact_multiplier_equals_plain_integer(self, qconv, rng):
-        x = _x(rng, (2, 3, 8, 8))
-        ref = qconv(x).data
-        qconv.set_multiplier(get_multiplier("exact"))
-        np.testing.assert_allclose(qconv(x).data, ref, atol=1e-6)
+        """Attaching ``exact`` is bitwise the plain integer layer, forward
+        and backward."""
+        x = rng.normal(size=(2, 3, 8, 8)).astype(np.float32)
+        upstream = rng.normal(size=(2, 6, 8, 8)).astype(np.float32)
+        ref = _forward_backward(qconv, x, upstream, None, None)
+        got = _forward_backward(qconv, x, upstream, get_multiplier("exact"), None)
+        for expected, actual in zip(ref, got):
+            np.testing.assert_array_equal(actual, expected)
 
     def test_truncated_output_differs_and_is_biased_low(self, qconv, rng):
         x = _x(rng, (2, 3, 8, 8))
@@ -191,20 +225,22 @@ class TestGradients:
         ge_grad = qlin.weight.grad.copy()
         np.testing.assert_allclose(ge_grad, 0.5 * ste_grad, rtol=1e-4, atol=1e-6)
 
-    def test_constant_error_model_equals_ste(self, qlin, rng):
-        """Paper: ∂f/∂y = 0 makes GE identical to the plain STE."""
-        x = Tensor(rng.normal(size=(8, 8)).astype(np.float32))
-        mult = get_multiplier("evoapprox228")
-        qlin.set_multiplier(mult, None)
-        qlin.weight.zero_grad()
-        qlin(x).sum().backward()
-        ste_grad = qlin.weight.grad.copy()
-
+    def test_constant_error_model_equals_ste(self, rng):
+        """Paper: ∂f/∂y = 0 makes GE bitwise identical to the plain STE, on
+        every GEMM layer kind and on a biased and an unbiased multiplier."""
         em = PiecewiseLinearErrorModel(k=0.0, c=5.0, lower=-10.0, upper=10.0)
-        qlin.set_multiplier(mult, em)
-        qlin.weight.zero_grad()
-        qlin(x).sum().backward()
-        np.testing.assert_allclose(qlin.weight.grad, ste_grad)
+        for layer_kind, make_layer in _LAYER_FACTORIES.items():
+            for mult_name in ("evoapprox228", "truncated5"):
+                layer, x_shape = make_layer(rng)
+                x = rng.normal(size=x_shape).astype(np.float32)
+                upstream = rng.normal(size=layer(Tensor(x)).shape).astype(np.float32)
+                mult = get_multiplier(mult_name)
+                ste = _forward_backward(layer, x, upstream, mult, None)
+                ge = _forward_backward(layer, x, upstream, mult, em)
+                for what, expected, actual in zip(("output", "x grad", "w grad"), ste, ge):
+                    np.testing.assert_array_equal(
+                        actual, expected, err_msg=f"{layer_kind}/{mult_name}: {what}"
+                    )
 
     def test_clipped_ste_blocks_out_of_range_activations(self, qlin):
         x = Tensor(np.full((1, 8), 100.0, dtype=np.float32), requires_grad=True)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 
 FAST_DATA = [
     "--num-train", "120", "--num-test", "60", "--image-size", "12",
@@ -154,6 +154,32 @@ class TestSweepAndResiliency:
         assert code == 0
         out = capsys.readouterr().out
         assert "classifier" in out
+
+
+class TestParallelismFlags:
+    """``--workers`` exists only on ``sweep``; no GEMM backend flag exists."""
+
+    def test_sweep_takes_workers(self):
+        args = build_parser().parse_args(
+            ["sweep", "--checkpoint", "q.npz", "--multipliers", "truncated3", "--workers", "2"]
+        )
+        assert args.workers == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["approximate", "--checkpoint", "q.npz", "--multiplier", "truncated3"],
+            ["evaluate", "--checkpoint", "q.npz"],
+            ["profile", "--multiplier", "truncated3"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    @pytest.mark.parametrize("flag", [["--workers", "2"], ["--gemm-backend", "plan-lut"]])
+    def test_other_subcommands_reject_the_flags(self, argv, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv + flag)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestInspection:
