@@ -13,10 +13,10 @@ Times the parallel sweep (``docs/PERFORMANCE.md``) serially and at
   off (``repro.approx.plan``); outputs are asserted bitwise identical.
 - **train** — repeated-batch retraining (forward + backward + SGD step)
   of an approximate MLP and CNN under three configurations: fully
-  uncached, forward-plan-cache only (the pre-training-plans behaviour)
-  and the full training path (plan revalidation, cached backward
-  operands, im2col plans); weights and logits are asserted bitwise
-  identical across all three.
+  uncached, every plan rebuilt each step (plan caches cleared before
+  every step) and the training path (plan revalidation and in-place
+  repair); weights and logits are asserted bitwise identical across all
+  three.
 - **analytic** — closed-form error models vs Monte-Carlo
   characterization over the multiplier registry (``repro.ge.analytic``),
   with per-candidate cross-validation of the two fitted models; the
@@ -169,28 +169,26 @@ def bench_eval(workers: int, smoke: bool) -> dict:
 
 
 def bench_train(workers: int, smoke: bool) -> dict:
-    """Repeated-batch retraining: training-path plans on vs off vs uncached.
+    """Repeated-batch retraining: plans kept across steps vs rebuilt vs uncached.
 
     Three configurations train the same model from the same initial state
     on the same batches:
 
     - **uncached** — plan caching disabled entirely (the reference GEMM);
-    - **prior** — forward plan cache only (``train_plans_disabled``): the
-      pre-backward-plans behaviour, where every optimizer step bumps the
-      weight version and rebuilds each layer's plan from scratch;
-    - **cached** — the full training path: code-level plan revalidation
-      across steps, cached backward weight layouts, memoized exact-GEMM
-      operands (gradient estimation) and shape-keyed im2col plans.
+    - **prior** — every layer's plan cache is cleared before each step, so
+      each optimizer step rebuilds every plan from scratch (the behaviour
+      before plans survived weight updates);
+    - **cached** — the training path: code-level plan revalidation across
+      steps and in-place repair of sparse code drift.
 
-    The headline ``speedup`` is cached vs prior (the regression this PR
-    fixes: plan rebuilds made training *slower* than no cache at all);
-    ``speedup_vs_uncached`` shows the absolute win. Final weights and
-    logits must be bitwise identical across all three.
+    The headline ``speedup`` is cached vs prior (plan rebuilds made
+    training *slower* than no cache at all); ``speedup_vs_uncached`` shows
+    the absolute win. Final weights and logits must be bitwise identical
+    across all three.
     """
     from contextlib import nullcontext
 
-    from repro.approx import get_multiplier, plan_cache_disabled, train_plans_disabled
-    from repro.autograd.im2col import clear_col_plans
+    from repro.approx import get_multiplier, plan_cache_disabled
     from repro.autograd.tensor import Tensor
     from repro.ge.error_model import PiecewiseLinearErrorModel
     from repro.quant import QuantConv2d, QuantLinear
@@ -245,9 +243,12 @@ def bench_train(workers: int, smoke: bool) -> dict:
         for _ in range(steps)
     ]
 
-    def train(layers, xs, gs):
+    def train(layers, xs, gs, rebuild=False):
         opt = SGD([p for layer in layers for p in layer.parameters()], lr=lr)
         for xb, gb in zip(xs, gs):
+            if rebuild:
+                for layer in layers:
+                    layer._plan_cache.clear()
             opt.zero_grad()
             h = Tensor(xb)
             for layer in layers:
@@ -255,22 +256,22 @@ def bench_train(workers: int, smoke: bool) -> dict:
             h.backward(gb)
             opt.step()
 
-    contexts = {
-        "uncached": plan_cache_disabled,
-        "prior": train_plans_disabled,
-        "cached": nullcontext,
+    # mode -> (context, clear every plan cache before each step)
+    modes = {
+        "uncached": (plan_cache_disabled, False),
+        "prior": (nullcontext, True),
+        "cached": (nullcontext, False),
     }
 
     def measure(build, xs, gs):
         times, finals = {}, {}
-        for mode, ctx in contexts.items():
+        for mode, (ctx, rebuild) in modes.items():
             best = float("inf")
             layers = None
             for _ in range(reps):
-                clear_col_plans()
                 layers = build()
                 with ctx():
-                    best = min(best, _timed(lambda: train(layers, xs, gs)))
+                    best = min(best, _timed(lambda: train(layers, xs, gs, rebuild)))
             with ctx():
                 h = Tensor(xs[0])
                 for layer in layers:

@@ -33,14 +33,10 @@ from repro.approx.plan import (
     build_plan,
     cache_stats,
     disable_plan_cache,
-    disable_train_plans,
     enable_plan_cache,
-    enable_train_plans,
     plan_cache_disabled,
     plan_caching_enabled,
     repair_plan,
-    train_plans_disabled,
-    train_plans_enabled,
     workspace_pool,
 )
 from repro.approx.registry import (
@@ -84,11 +80,7 @@ __all__ = [
     "disable_plan_cache",
     "plan_cache_disabled",
     "plan_caching_enabled",
-    "enable_train_plans",
-    "disable_train_plans",
     "repair_plan",
-    "train_plans_disabled",
-    "train_plans_enabled",
     "workspace_pool",
     "mean_relative_error",
     "mean_error",

@@ -37,7 +37,7 @@ from repro.obs import profiling as prof
 from repro.obs import trace as tr
 
 
-def exact_int_matmul(a: np.ndarray, b: np.ndarray, cache: dict | None = None) -> np.ndarray:
+def exact_int_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Exact integer GEMM with tiered float32/float64/int64 accumulation.
 
     Picks the cheapest dtype whose accumulation is provably exact for the
@@ -45,25 +45,13 @@ def exact_int_matmul(a: np.ndarray, b: np.ndarray, cache: dict | None = None) ->
     :mod:`repro.approx.multiplier`); raises
     :class:`~repro.errors.MultiplierError` when even int64 could wrap
     (``≥ 2^63``) rather than returning silently-overflowed garbage.
-
-    Gradient estimation runs an exact GEMM alongside every approximate one
-    with the *same* weight operand each batch; ``cache`` (owned by the
-    layer's :class:`~repro.approx.plan.LayerKernelState`) memoizes the
-    magnitude and dtype conversions of ``b`` across batches. The tier
-    decision and arithmetic do not depend on it, so the result is bitwise
-    identical with or without a cache.
     """
     a = np.asarray(a)
     b = np.asarray(b)
-    if cache is None:
-        cache = {}
     with prof.timer("approx.exact_matmul", nbytes=a.nbytes + b.nbytes):
         if not (a.size and b.size):
             return a.astype(np.int64) @ b.astype(np.int64)
-        bmax = cache.get("absmax")
-        if bmax is None:
-            bmax = cache["absmax"] = float(np.abs(b).max())
-        max_sum = float(np.abs(a).max()) * bmax * a.shape[1]
+        max_sum = float(np.abs(a).max()) * float(np.abs(b).max()) * a.shape[1]
         if max_sum < EXACT_FLOAT32_BOUND:
             dtype = np.float32
         elif max_sum < EXACT_FLOAT64_BOUND:
@@ -76,11 +64,7 @@ def exact_int_matmul(a: np.ndarray, b: np.ndarray, cache: dict | None = None) ->
             )
         else:
             dtype = np.int64
-        key = np.dtype(dtype).str
-        b_conv = cache.get(key)
-        if b_conv is None:
-            b_conv = cache[key] = b.astype(dtype)
-        y = a.astype(dtype) @ b_conv
+        y = a.astype(dtype) @ b.astype(dtype)
         return y if dtype is np.int64 else np.rint(y).astype(np.int64)
 
 

@@ -50,7 +50,6 @@ from repro.obs import metrics as met
 from repro.obs import profiling as prof
 
 _caching_enabled = True
-_train_plans_enabled = True
 
 
 def enable_plan_cache() -> None:
@@ -86,48 +85,6 @@ class plan_cache_disabled:
             enable_plan_cache()
 
 
-def enable_train_plans() -> None:
-    """Re-enable the training-path plan extensions (the default state)."""
-    global _train_plans_enabled
-    _train_plans_enabled = True
-
-
-def disable_train_plans() -> None:
-    """Disable the training-path plan extensions only.
-
-    The forward plan cache keeps working exactly as it did before the
-    training-path extensions existed: every weight-version bump is a full
-    miss/rebuild, backward state is recomputed per step and im2col runs
-    unplanned. Benchmarks use this to measure what this layer buys.
-    """
-    global _train_plans_enabled
-    _train_plans_enabled = False
-
-
-def train_plans_enabled() -> bool:
-    """Whether the training-path plan extensions are active.
-
-    Covers code-level plan revalidation across optimizer steps, cached
-    backward operands (fake-quantized weights, exact-GEMM conversions)
-    and the shape-keyed im2col plans. Implied off while plan caching as a
-    whole is disabled.
-    """
-    return _caching_enabled and _train_plans_enabled
-
-
-class train_plans_disabled:
-    """Context manager running a block with only the training-path plan
-    extensions off (forward plan caching stays on)."""
-
-    def __enter__(self) -> None:
-        self._previous = _train_plans_enabled
-        disable_train_plans()
-
-    def __exit__(self, *exc) -> None:
-        if self._previous:
-            enable_train_plans()
-
-
 def check_magnitude(codes: np.ndarray, bound: int, name: str, operand: str) -> None:
     """Reject operand codes outside the symmetric ``[-bound, bound]`` range."""
     if codes.size:
@@ -145,9 +102,10 @@ class WorkspacePool:
 
     ``take`` hands out a 1-D buffer of at least the requested size
     (power-of-two rounded so consecutive batch sizes reuse one
-    allocation); ``give`` returns it. Concurrent row-block threads each
-    take a distinct buffer, so plan execution never shares scratch
-    memory. The pool keeps at most ``max_buffers`` per dtype.
+    allocation); ``give`` returns it. Concurrent callers (e.g. threaded
+    sweep workers) each take a distinct buffer, so plan execution never
+    shares scratch memory. The pool keeps at most ``max_buffers`` per
+    dtype.
     """
 
     def __init__(self, max_buffers: int = 8):
@@ -208,34 +166,15 @@ class LayerKernelState:
 
     Holds the quantized weight codes, the clipped-STE mask and the
     forward plan (``None`` on the exact path, a list for grouped
-    convolutions), plus two lazily populated side tables used by the
-    training path:
-
-    - ``bwd`` — fake-quantized weight layouts for the backward GEMMs
-      (``∂C/∂X`` multiplies by ``wq·step``, which is batch-invariant);
-    - ``exact_ops`` — dtype-converted weight operands for the exact GEMM
-      that gradient estimation runs alongside the approximate one.
-
-    Both survive code-level revalidation: when an optimizer step leaves
-    the integer codes (and steps) unchanged, ``wq·step`` is unchanged
-    too, so the cached arrays remain bitwise-valid.
+    convolutions).
     """
 
-    __slots__ = ("wq", "w_mask", "plan", "bwd", "exact_ops")
+    __slots__ = ("wq", "w_mask", "plan")
 
     def __init__(self, wq: np.ndarray, w_mask: np.ndarray, plan: Any = None):
         self.wq = wq
         self.w_mask = w_mask
         self.plan = plan
-        self.bwd: dict = {}
-        self.exact_ops: dict = {}
-
-    def adopt(self, other: "LayerKernelState") -> "LayerKernelState":
-        """Carry another state's plan and lazy side tables (revalidation)."""
-        self.plan = other.plan
-        self.bwd = other.bwd
-        self.exact_ops = other.exact_ops
-        return self
 
 
 class LutFactors:
@@ -579,7 +518,6 @@ class PlanCache:
             return entry[2]
         if (
             revalidate is not None
-            and _train_plans_enabled
             and entry is not None
             and entry[1] is multiplier
             and isinstance(key, tuple)

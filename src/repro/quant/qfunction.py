@@ -15,16 +15,18 @@ The backward pass implements:
   where ``K`` is the derivative of the fitted error function evaluated at
   the *exact* GEMM outputs (Eq. 13).
 
+The exact GEMM behind ``K`` is a backward-only quantity: it runs only
+while gradients are recorded, never in a ``no_grad`` evaluation.
+
 Weight-derived state is memoized in a
 :class:`~repro.approx.plan.LayerKernelState` held by the layer's
-:class:`~repro.approx.plan.PlanCache`: the forward GEMM plan, the
-fake-quantized weight layouts the backward pass needs, and the converted
-exact-GEMM operands gradient estimation needs. A revalidation hook keeps
-all of it alive across optimizer steps whenever the *integer codes* did
-not change (small-learning-rate SGD barely moves 4-bit codes), which is
-what makes repeated-batch retraining as cheap as repeated evaluation.
-Every cached path is bitwise identical to the uncached reference
-(``tests/quant/test_train_plans.py``).
+:class:`~repro.approx.plan.PlanCache`: the quantized weight codes, the
+clipped-STE mask and the forward GEMM plan. A revalidation hook keeps
+the plan across optimizer steps: unchanged *integer codes*
+(small-learning-rate SGD barely moves 4-bit codes) reuse it as is, and
+sparse code drift patches it in place (:func:`~repro.approx.plan.repair_plan`).
+Every cached path is bitwise identical to the uncached reference, step
+by step through training (the training-path tests under ``tests/quant``).
 """
 
 from __future__ import annotations
@@ -39,9 +41,9 @@ from repro.approx.plan import (
     build_plan,
     plan_caching_enabled,
     repair_plan,
-    train_plans_enabled,
 )
 from repro.autograd.function import Function
+from repro.autograd.grad_mode import is_grad_enabled
 from repro.autograd.im2col import col2im, conv_out_size, im2col, sliding_windows
 from repro.errors import QuantizationError, ShapeError
 from repro.ge.error_model import PiecewiseLinearErrorModel
@@ -79,23 +81,19 @@ def _int_gemm(
     multiplier: Multiplier | None,
     need_exact: bool,
     plan: GemmPlan | None = None,
-    exact_cache: dict | None = None,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Integer GEMM, approximate when a non-exact multiplier is given.
 
     Returns ``(y_int, y_exact)`` where ``y_exact`` is only materialised when
     ``need_exact`` (for GE region tests) and differs from ``y_int``. ``plan``
-    is an optional weight-stationary plan built from this exact ``b``;
-    ``exact_cache`` optionally memoizes the exact path's conversions of
-    ``b`` across batches (the ``cache`` of
-    :func:`repro.approx.gemm.exact_int_matmul`). The result is bitwise
-    identical with or without either.
+    is an optional weight-stationary plan built from this exact ``b``; the
+    result is bitwise identical with or without it.
     """
     if multiplier is None or multiplier.is_exact:
-        y = exact_int_matmul(a, b, cache=exact_cache)
+        y = exact_int_matmul(a, b)
         return y, (y if need_exact else None)
     y = approx_matmul(a, b, multiplier, plan=plan)
-    y_exact = exact_int_matmul(a, b, cache=exact_cache) if need_exact else None
+    y_exact = exact_int_matmul(a, b) if need_exact else None
     return y, y_exact
 
 
@@ -112,18 +110,10 @@ def _maybe_plan(b: np.ndarray, multiplier: Multiplier | None) -> GemmPlan | None
     return build_plan(b, multiplier)
 
 
-def _bwd_cached(bwd: dict | None, key: str, make):
-    """Memoize a backward operand in the layer state's side table.
-
-    With ``bwd`` None (no plan cache attached, or training-path plans
-    disabled) the operand is recomputed fresh — the reference behaviour.
-    """
-    if bwd is None:
-        return make()
-    value = bwd.get(key)
-    if value is None:
-        value = bwd[key] = make()
-    return value
+def _need_exact(error_model: PiecewiseLinearErrorModel | None) -> bool:
+    """Whether GE needs the exact GEMM: a sloped model, and a backward to
+    use its ``(1 + K)`` scale (``no_grad`` evaluation has none)."""
+    return is_grad_enabled() and error_model is not None and not error_model.is_constant
 
 
 def _gradient_scale(
@@ -175,14 +165,12 @@ class QuantLinearFunction(Function):
         def _revalidate(old):
             # An optimizer step bumped the weight version; if the 4-bit
             # codes are unchanged (steps are, by key construction), the
-            # plan, backward layouts and exact-operand conversions all
-            # still describe the current weights exactly. Sparse code
-            # drift keeps the plan via an in-place repair; the code-value
-            # dependent side tables are dropped and lazily refilled.
+            # plan still describes the current weights exactly. Sparse
+            # code drift keeps the plan via an in-place repair.
             wq, w_mask = _quantize_weight()
             neq = wq != old.wq
             if not neq.any():
-                return LayerKernelState(old.wq, w_mask).adopt(old), True
+                return LayerKernelState(old.wq, w_mask, old.plan), True
             if old.plan is not None:
                 # wq is (N, K); the plan operand is wq.T, so swap the diff axes.
                 nz_r, nz_c = np.nonzero(neq)
@@ -194,22 +182,13 @@ class QuantLinearFunction(Function):
             state = plan_cache.get(
                 "linear", plan_key, multiplier, _build, revalidate=_revalidate
             )
-            use_train = train_plans_enabled()
         else:
             wq, w_mask = _quantize_weight()
             state = LayerKernelState(wq, w_mask, None)
-            use_train = False
         wq = state.wq
         self.w_mask = state.w_mask
-        self._bwd = state.bwd if use_train else None
-        need_exact = error_model is not None and not error_model.is_constant
         y_int, y_exact = _int_gemm(
-            xq,
-            wq.T,
-            multiplier,
-            need_exact,
-            plan=state.plan,
-            exact_cache=state.exact_ops if use_train else None,
+            xq, wq.T, multiplier, _need_exact(error_model), plan=state.plan
         )
         self.xq, self.wq = xq, wq
         self.scale = _gradient_scale(error_model, y_exact)
@@ -222,11 +201,7 @@ class QuantLinearFunction(Function):
     def backward(self, grad_out):
         g = grad_out * self.scale
         x_fq = self.xq.astype(np.float32) * np.float32(self.act_step)
-        w_fq = _bwd_cached(
-            self._bwd,
-            "w_fq",
-            lambda: self.wq.astype(np.float32) * self.w_step_col[:, None],
-        )
+        w_fq = self.wq.astype(np.float32) * self.w_step_col[:, None]
         grad_x = (g @ w_fq) * self.x_mask
         grad_w = (g.T @ x_fq) * self.w_mask
         grad_b = grad_out.sum(axis=0) if self.has_bias else None
@@ -287,7 +262,7 @@ class QuantConv2dFunction(Function):
         def _state_from(wq, w_mask):
             if self.depthwise:
                 # Depthwise runs a LUT window sum, not a GEMM; cache only
-                # the weight quantization (and backward layouts).
+                # the weight quantization.
                 return LayerKernelState(wq, w_mask, None)
             if grouped:
                 ocg = oc // groups
@@ -314,7 +289,7 @@ class QuantConv2dFunction(Function):
             wq, w_mask = _quantize_weight()
             neq = wq != old.wq
             if not neq.any():
-                return LayerKernelState(old.wq, w_mask).adopt(old), True
+                return LayerKernelState(old.wq, w_mask, old.plan), True
             if not self.depthwise and old.plan is not None:
                 if grouped:
                     ocg = oc // groups
@@ -346,29 +321,21 @@ class QuantConv2dFunction(Function):
             state = plan_cache.get(
                 tag, plan_key, multiplier, _build, revalidate=_revalidate
             )
-            use_train = train_plans_enabled()
         else:
             wq, w_mask = _quantize_weight()
             state = LayerKernelState(wq, w_mask, [None] * groups if grouped else None)
-            use_train = False
         wq = state.wq
         self.w_mask = state.w_mask
-        self._bwd = state.bwd if use_train else None
         plan_state = state.plan
         self.wq = wq
-        need_exact = error_model is not None and not error_model.is_constant
+        need_exact = _need_exact(error_model)
         rescale_col = np.float32(self.act_step) * self.w_step_col  # (OC,)
 
         if groups == 1:
             cols, _ = im2col(xq, (kh, kw), stride, padding)
             self.cols = cols
             y_int, y_exact = _int_gemm(
-                cols,
-                wq.reshape(oc, -1).T,
-                multiplier,
-                need_exact,
-                plan=plan_state,
-                exact_cache=state.exact_ops if use_train else None,
+                cols, wq.reshape(oc, -1).T, multiplier, need_exact, plan=plan_state
             )
             self.scale = _gradient_scale(error_model, y_exact)
             out = y_int.astype(np.float32) * rescale_col[None, :]
@@ -439,23 +406,14 @@ class QuantConv2dFunction(Function):
             g2 = grad_out.transpose(0, 2, 3, 1).reshape(n * oh * ow, oc)
             g2 = g2 * self.scale
             x_fq = self.cols.astype(np.float32) * sx
-            w_fq = _bwd_cached(
-                self._bwd,
-                "w_fq2",
-                lambda: self.wq.reshape(oc, -1).astype(np.float32) * sw_col[:, None],
-            )
+            w_fq = self.wq.reshape(oc, -1).astype(np.float32) * sw_col[:, None]
             grad_w = (g2.T @ x_fq).reshape(self.wq.shape)
             grad_cols = g2 @ w_fq
             grad_x = col2im(grad_cols, self.x_shape, (kh, kw), stride, padding)
         elif self.depthwise:
             g4 = grad_out * self.scale  # (N, C, OH, OW)
             win_fq = self.windows.astype(np.float32) * sx
-            w_fq = _bwd_cached(
-                self._bwd,
-                "w_fq3",
-                lambda: self.wq.reshape(c, kh, kw).astype(np.float32)
-                * sw_col[:, None, None],
-            )
+            w_fq = self.wq.reshape(c, kh, kw).astype(np.float32) * sw_col[:, None, None]
             grad_w = np.einsum("nchw,nchwij->cij", g4, win_fq, optimize=True)
             grad_w = grad_w.reshape(self.wq.shape)
             grad_windows = np.einsum("nchw,cij->nchwij", g4, w_fq, optimize=True)
@@ -464,15 +422,6 @@ class QuantConv2dFunction(Function):
         else:
             ocg = oc // groups
             cg = c // groups
-            w_fq_groups = _bwd_cached(
-                self._bwd,
-                "w_fq_groups",
-                lambda: [
-                    self.wq[g * ocg : (g + 1) * ocg].reshape(ocg, -1).astype(np.float32)
-                    * sw_col[g * ocg : (g + 1) * ocg, None]
-                    for g in range(groups)
-                ],
-            )
             grad_w = np.empty(self.wq.shape, dtype=np.float32)
             grad_x_parts = []
             for g in range(groups):
@@ -483,7 +432,11 @@ class QuantConv2dFunction(Function):
                 grad_w[g * ocg : (g + 1) * ocg] = (g2.T @ x_fq).reshape(
                     ocg, cg, kh, kw
                 )
-                grad_cols = g2 @ w_fq_groups[g]
+                w_fq = (
+                    self.wq[g * ocg : (g + 1) * ocg].reshape(ocg, -1).astype(np.float32)
+                    * sw_col[g * ocg : (g + 1) * ocg, None]
+                )
+                grad_cols = g2 @ w_fq
                 grad_x_parts.append(col2im(grad_cols, (n, cg, h, w), (kh, kw), stride, padding))
             grad_x = np.concatenate(grad_x_parts, axis=1)
 

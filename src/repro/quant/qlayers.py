@@ -48,15 +48,14 @@ class _QuantGemmLayer(Module):
         # integer-code space.
         self.output_collector: list | None = None
         # Weight-stationary GEMM state (repro.approx.plan): quantized weight
-        # codes, STE mask, kernel plan and the training-path side tables
-        # (backward weight layouts, exact-GEMM operand conversions), reused
-        # across batches while the weights and steps are unchanged.
-        # ``_step_version`` bumps whenever the step sizes are (re)derived;
-        # the weight Parameter's own version counter covers every weight
-        # rebind, so the cache key goes stale the moment either changes. A
-        # version-only change (optimizer step) is revalidated at the code
-        # level: if the integer codes survived the step, the whole state is
-        # reused instead of rebuilt.
+        # codes, STE mask and kernel plan, reused across batches while the
+        # weights and steps are unchanged. ``_step_version`` bumps whenever
+        # the step sizes are (re)derived; the weight Parameter's own version
+        # counter covers every weight rebind, so the cache key goes stale
+        # the moment either changes. A version-only change (optimizer step)
+        # is revalidated at the code level: if the integer codes survived
+        # the step the plan is reused, and sparse code drift repairs it in
+        # place instead of rebuilding it.
         self._plan_cache = PlanCache()
         self._step_version = 0
         self._act_observer = create_observer(

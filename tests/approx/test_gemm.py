@@ -212,45 +212,3 @@ class TestExactPrecisionTiers:
         b = np.array([[2**31]], dtype=np.int64)
         with pytest.raises(MultiplierError, match="overflow the int64"):
             exact_int_matmul(a, b)
-        with pytest.raises(MultiplierError, match="overflow the int64"):
-            exact_int_matmul(a, b, cache={})
-
-    @pytest.mark.parametrize(
-        "hi, k, tier",
-        [
-            (127, 74, np.float32),  # 127*127*74 < 2^23
-            (1 << 12, 8, np.float64),  # 2^27 < 2^52
-            (1 << 27, 4, np.int64),  # 2^56 >= 2^52
-        ],
-    )
-    def test_cache_holds_the_selected_tier(self, hi, k, tier):
-        a = np.full((2, k), hi, dtype=np.int64)
-        b = np.full((k, 3), -hi, dtype=np.int64)
-        cache = {}
-        np.testing.assert_array_equal(
-            exact_int_matmul(a, b, cache=cache), self._int64_reference(a, b)
-        )
-        converted = [v for v in cache.values() if isinstance(v, np.ndarray)]
-        assert [v.dtype for v in converted] == [np.dtype(tier)]
-
-    @settings(max_examples=40, deadline=None)
-    @given(
-        st.integers(0, 2**32 - 1),
-        st.sampled_from([3, 127, 1 << 12, 1 << 20, 1 << 27]),
-        st.sampled_from([3, 127, 1 << 12, 1 << 20, 1 << 27]),
-    )
-    def test_reused_cache_is_bitwise_uncached(self, seed, a_hi, b_hi):
-        """A cache warmed by one call answers later calls with other ``a``
-        operands — crossing tier boundaries — bitwise like the uncached
-        call, because the tier is chosen per call and only ``b``'s
-        conversions are memoized."""
-        rng = np.random.default_rng(seed)
-        b = rng.integers(-b_hi, b_hi + 1, size=(13, 4)).astype(np.int64)
-        cache = {}
-        for hi in (a_hi, 3, 1 << 27, a_hi):
-            a = rng.integers(-hi, hi + 1, size=(6, 13)).astype(np.int64)
-            cached = exact_int_matmul(a, b, cache=cache)
-            uncached = exact_int_matmul(a, b)
-            assert cached.dtype == uncached.dtype == np.int64
-            np.testing.assert_array_equal(cached, uncached)
-            np.testing.assert_array_equal(uncached, self._int64_reference(a, b))

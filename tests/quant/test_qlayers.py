@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from repro.approx import get_multiplier
-from repro.autograd import Tensor, conv2d, linear
+from repro.autograd import Tensor, conv2d, linear, no_grad
 from repro.errors import QuantizationError
 from repro.ge import PiecewiseLinearErrorModel
+from repro.obs import profiling as prof
 from repro.quant import QConfig, QuantConv2d, QuantLinear, fake_quantize_np
 
 
@@ -241,6 +242,23 @@ class TestGradients:
                     np.testing.assert_array_equal(
                         actual, expected, err_msg=f"{layer_kind}/{mult_name}: {what}"
                     )
+
+    def test_no_grad_ge_forward_skips_the_exact_gemm(self, rng):
+        """GE's exact GEMM only feeds the backward ``(1 + K)`` scale, so a
+        ``no_grad`` forward must not run it, and must return bitwise the
+        output of the grad-recording forward that does."""
+        em = PiecewiseLinearErrorModel(k=0.05, c=0.0, lower=-4.0, upper=4.0)
+        for layer_kind, make_layer in _LAYER_FACTORIES.items():
+            layer, x_shape = make_layer(rng)
+            layer.set_multiplier(get_multiplier("truncated5"), em)
+            x = Tensor(rng.normal(size=x_shape).astype(np.float32))
+            with prof.profiled() as report:
+                recorded = layer(x).data
+            assert report.timer("approx.exact_matmul").calls >= 1, layer_kind
+            with no_grad(), prof.profiled() as report:
+                evaluated = layer(x).data
+            assert report.timer("approx.exact_matmul") is None, layer_kind
+            np.testing.assert_array_equal(evaluated, recorded, err_msg=layer_kind)
 
     def test_clipped_ste_blocks_out_of_range_activations(self, qlin):
         x = Tensor(np.full((1, 8), 100.0, dtype=np.float32), requires_grad=True)

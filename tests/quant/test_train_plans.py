@@ -1,12 +1,11 @@
 """Training-path plan caching: N-step bitwise equivalence and revalidation.
 
-The training loop reuses weight-derived kernel state across optimizer
-steps — plan revalidation/repair, cached backward weight layouts,
-memoized exact-GEMM operands and shape-keyed im2col plans. All of it is
-an *optimization only*: training with the full cached path, with only
-the forward plan cache (the pre-training-plans behaviour) and with
-caching disabled entirely must produce bitwise-identical weights and
-logits at every step.
+The training loop keeps each layer's GEMM plan across optimizer steps:
+code-level revalidation reuses it when the 4-bit codes did not move and
+in-place repair patches it for sparse code drift. That is an
+*optimization only*: training with the plan cache, with every step
+rebuilding its plans from an empty cache, and with caching disabled
+entirely must produce bitwise-identical weights and logits at every step.
 
 The truncated3 scenarios are repeated for truncated5, whose plans gather
 3 bit-plane columns, and evoapprox228, whose full-rank LUT keeps one
@@ -19,14 +18,8 @@ from functools import partial
 import numpy as np
 import pytest
 
-from repro.approx import (
-    get_multiplier,
-    plan_cache_disabled,
-    train_plans_disabled,
-    train_plans_enabled,
-)
+from repro.approx import get_multiplier, plan_cache_disabled
 from repro.autograd import Tensor
-from repro.autograd.im2col import clear_col_plans
 from repro.ge import PiecewiseLinearErrorModel
 from repro.obs import profiling as prof
 from repro.quant import QuantConv2d, QuantLinear
@@ -64,7 +57,6 @@ def _build_conv(mult=MULT):
 
 def _train(build, xs, gs, lr=0.05, mutate=None):
     """Train fresh layers on fixed batches; returns per-step weight/logit history."""
-    clear_col_plans()
     layers = build()
     opt = SGD([p for layer in layers for p in layer.parameters()], lr=lr)
     history = []
@@ -101,31 +93,41 @@ def _batches(rng, steps, x_shape, g_shape, g_scale=1e-2):
     return xs, gs
 
 
-CONTEXTS = {
-    "uncached": plan_cache_disabled,
-    "prior": train_plans_disabled,
-    "cached": nullcontext,
+def _rebuild_every_step(step, layers):
+    """Start every step from an empty plan cache: each step builds afresh."""
+    for layer in layers:
+        layer._plan_cache.clear()
+
+
+# mode -> (context, per-step mutation); "cached" last, so a profiled
+# loop over the modes ends holding the cached run's report.
+MODES = {
+    "uncached": (plan_cache_disabled, None),
+    "rebuild": (nullcontext, _rebuild_every_step),
+    "cached": (nullcontext, None),
 }
+
+
+def _check_modes(build, xs, gs, lr=0.05):
+    """Train in every mode, assert all three histories bitwise identical
+    and return the profile of the cached run."""
+    runs = {}
+    for mode, (ctx, mutate) in MODES.items():
+        with ctx(), prof.profiled() as report:
+            runs[mode] = _train(build, xs, gs, lr=lr, mutate=mutate)
+    _assert_histories_identical(runs["uncached"], runs["rebuild"], "rebuild")
+    _assert_histories_identical(runs["uncached"], runs["cached"], "cached")
+    return report
 
 
 class TestTrainingBitwiseEquivalence:
     def test_linear_training_identical_across_cache_modes(self, rng):
         xs, gs = _batches(rng, 5, (6, 12), (6, 5))
-        runs = {}
-        for mode, ctx in CONTEXTS.items():
-            with ctx():
-                runs[mode] = _train(_build_mlp, xs, gs)
-        _assert_histories_identical(runs["uncached"], runs["prior"], "prior")
-        _assert_histories_identical(runs["uncached"], runs["cached"], "cached")
+        _check_modes(_build_mlp, xs, gs)
 
     def test_conv_training_identical_across_cache_modes(self, rng):
         xs, gs = _batches(rng, 4, (3, 3, 8, 8), (3, 6, 4, 4))
-        runs = {}
-        for mode, ctx in CONTEXTS.items():
-            with ctx():
-                runs[mode] = _train(_build_conv, xs, gs)
-        _assert_histories_identical(runs["uncached"], runs["prior"], "prior")
-        _assert_histories_identical(runs["uncached"], runs["cached"], "cached")
+        _check_modes(_build_conv, xs, gs)
 
     def test_refresh_weight_step_mid_run_stays_identical(self, rng):
         xs, gs = _batches(rng, 4, (6, 12), (6, 5))
@@ -187,6 +189,15 @@ class TestRevalidation:
         assert report.counter("approx.plan_cache_revalidate").calls == 6
         assert report.counter("approx.plan_repaired") is None
 
+    def test_rebuild_mode_misses_every_step(self, rng):
+        # The rebuild baseline must really pay a full build per layer per
+        # step, or the bitwise checks against it prove nothing.
+        xs, gs = _batches(rng, 3, (6, 12), (6, 5))
+        with prof.profiled() as report:
+            _train(_build_mlp, xs, gs, lr=1e-12, mutate=_rebuild_every_step)
+        assert report.counter("approx.plan_cache_revalidate") is None
+        assert report.counter("approx.plan_built").calls == 6
+
     def test_sparse_code_drift_repairs_in_place(self, rng):
         # Flip exactly one weight to a magnitude the plan already knows:
         # the plan must be repaired in place, not rebuilt.
@@ -208,25 +219,6 @@ class TestRevalidation:
         with plan_cache_disabled():
             np.testing.assert_array_equal(repaired_out, layer(Tensor(x)).data)
 
-    def test_train_plans_disabled_restores_prior_miss_behaviour(self, rng):
-        xs, gs = _batches(rng, 3, (6, 12), (6, 5))
-        with train_plans_disabled():
-            assert not train_plans_enabled()
-            with prof.profiled() as report:
-                _train(_build_mlp, xs, gs, lr=1e-12)
-        # every step is a fresh miss: no revalidation at all
-        assert report.counter("approx.plan_cache_revalidate") is None
-        assert report.counter("approx.plan_built").calls == 6
-
-    def test_col_plans_only_built_when_train_plans_enabled(self, rng):
-        xs, gs = _batches(rng, 2, (2, 3, 8, 8), (2, 6, 4, 4))
-        clear_col_plans()
-        with train_plans_disabled(), prof.profiled() as report:
-            _train(_build_conv, xs, gs)
-        assert report.counter("autograd.col_plan_built") is None
-        with prof.profiled() as report:
-            _train(_build_conv, xs, gs)
-        assert report.counter("autograd.col_plan_built").calls >= 1
 
 
 @pytest.mark.parametrize(
@@ -235,15 +227,6 @@ class TestRevalidation:
 class TestFactorizedTrainingEquivalence:
     """Cached and uncached training stay bitwise identical under both plan
     factorizations, through revalidation, repair and rebuild."""
-
-    def _check_modes(self, build, xs, gs, lr=0.05):
-        runs = {}
-        for mode, ctx in CONTEXTS.items():
-            with ctx(), prof.profiled() as report:
-                runs[mode] = _train(build, xs, gs, lr=lr)
-        _assert_histories_identical(runs["uncached"], runs["prior"], "prior")
-        _assert_histories_identical(runs["uncached"], runs["cached"], "cached")
-        return report
 
     def _check_rank(self, layers, rank):
         x = np.zeros((1, layers[0].weight.data.shape[1]), dtype=np.float32)
@@ -255,15 +238,15 @@ class TestFactorizedTrainingEquivalence:
         mult = get_multiplier(name)
         self._check_rank(_build_mlp(mult=mult), rank)
         xs, gs = _batches(rng, 5, (6, 12), (6, 5))
-        self._check_modes(partial(_build_mlp, mult=mult), xs, gs)
+        _check_modes(partial(_build_mlp, mult=mult), xs, gs)
 
     def test_conv(self, rng, name, rank):
         xs, gs = _batches(rng, 4, (3, 3, 8, 8), (3, 6, 4, 4))
-        self._check_modes(partial(_build_conv, mult=get_multiplier(name)), xs, gs)
+        _check_modes(partial(_build_conv, mult=get_multiplier(name)), xs, gs)
 
     def test_large_lr_code_churn_repairs(self, rng, name, rank):
         xs, gs = _batches(rng, 6, (6, 12), (6, 5), g_scale=1.0)
-        report = self._check_modes(
+        report = _check_modes(
             partial(_build_mlp, mult=get_multiplier(name)), xs, gs, lr=0.5
         )
         # the cached run absorbed some of the churn by in-place repair
